@@ -24,10 +24,10 @@ use std::collections::BTreeSet;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use afs_bench::gate::json;
 use afs_core::{AfsWorld, Backing, SentinelSpec, Strategy};
 use afs_remote::FileServer;
 use afs_sim::clock;
+use afs_telemetry::json;
 use afs_winapi::{Access, Disposition, FileApi};
 
 const REPLICA_BODY: &[u8] = b"replica B body !!";

@@ -5,16 +5,20 @@
 //! (memory path, 128-byte blocks — the cheapest cell that still exercises
 //! every strategy's full hot path) and renders it as a small JSON
 //! document. Because every sample is *virtual* time from the calibrated
-//! cost model, the numbers are bit-for-bit reproducible across machines,
-//! so CI can hold them to a tight threshold without flakiness.
+//! cost model, the numbers are bit-for-bit reproducible across machines
+//! and executor sizes, so CI holds them to an exact match.
 //!
 //! [`parse_bench_doc`] + [`compare`] implement the gate itself, used by
 //! the `bench_gate` binary against the committed `BENCH_baseline.json`.
+//! A change that moves a cell on purpose regenerates the baseline with
+//! `cargo run --release -p afs-bench --bin figure6 -- --ops 200 --json
+//! BENCH_baseline.json` and explains the move in its change notes.
 
 use std::collections::BTreeMap;
 
 use afs_core::Strategy;
 use afs_sim::HardwareProfile;
+use afs_telemetry::json;
 
 use crate::{measure, Direction, PathKind};
 
@@ -29,15 +33,19 @@ pub const GATE_STRATEGIES: [Strategy; 4] = [
     Strategy::DllOnly,
 ];
 
-/// Per-strategy latency summary, ns.
+/// Per-cell latency summary, ns, plus crossings per op where the cell
+/// reports them. Every field is gated exactly.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StrategyStats {
     /// Mean per-op latency.
     pub mean_ns: f64,
     /// Median per-op latency.
     pub p50_ns: u64,
-    /// 99th-percentile per-op latency — the gated number.
+    /// 99th-percentile per-op latency.
     pub p99_ns: u64,
+    /// Protection-domain crossings (or network messages) per op, for the
+    /// batching and cluster cells.
+    pub crossings_per_op: Option<f64>,
 }
 
 /// A parsed bench document: ops count plus per-strategy summaries.
@@ -105,8 +113,7 @@ pub fn gate_fleet_files() -> usize {
 pub fn bench_json(ops: usize, profile: HardwareProfile) -> String {
     const BLOCK: usize = 128;
     // (label, mean, p50, p99, crossings-per-op). The crossings column is
-    // only rendered for the batching cells; the gate compares p99 and
-    // treats extra fields as informational.
+    // only rendered for the batching and cluster cells.
     let mut entries: Vec<(String, f64, u64, u64, Option<f64>)> = Vec::new();
     for strategy in GATE_STRATEGIES {
         let m = measure(
@@ -280,9 +287,10 @@ pub fn bench_json(ops: usize, profile: HardwareProfile) -> String {
 
 /// Parses a [`bench_json`] document.
 ///
-/// The parser is deliberately strict about the fields the gate needs
-/// (`ops`, `strategies.*.{mean_ns,p50_ns,p99_ns}`) and tolerant of
-/// anything extra.
+/// The parser is strict JSON ([`afs_telemetry::json`]) and strict about
+/// the fields the gate needs (`ops`, `strategies.*.{mean_ns,p50_ns,
+/// p99_ns}`, and `crossings_per_op` when present); other fields are
+/// ignored.
 ///
 /// # Errors
 ///
@@ -294,8 +302,9 @@ pub fn parse_bench_doc(text: &str) -> Result<BenchDoc, String> {
         .get("ops")
         .and_then(json::Value::as_u64)
         .ok_or("missing numeric `ops`")?;
-    let strategies_val = obj.get("strategies").ok_or("missing `strategies`")?;
-    let strategies_obj = strategies_val
+    let strategies_obj = obj
+        .get("strategies")
+        .ok_or("missing `strategies`")?
         .as_object()
         .ok_or("`strategies` must be an object")?;
     let mut strategies = BTreeMap::new();
@@ -303,11 +312,17 @@ pub fn parse_bench_doc(text: &str) -> Result<BenchDoc, String> {
         let entry = entry
             .as_object()
             .ok_or_else(|| format!("strategy `{label}` must be an object"))?;
-        let field = |name: &str| {
+        let number = |name: &str| {
             entry
                 .get(name)
-                .and_then(json::Value::as_f64)
-                .ok_or_else(|| format!("strategy `{label}` missing numeric `{name}`"))
+                .map(|v| {
+                    v.as_f64()
+                        .ok_or_else(|| format!("strategy `{label}`: `{name}` is not a number"))
+                })
+                .transpose()
+        };
+        let field = |name: &str| {
+            number(name)?.ok_or_else(|| format!("strategy `{label}` missing numeric `{name}`"))
         };
         strategies.insert(
             label.clone(),
@@ -315,6 +330,7 @@ pub fn parse_bench_doc(text: &str) -> Result<BenchDoc, String> {
                 mean_ns: field("mean_ns")?,
                 p50_ns: field("p50_ns")? as u64,
                 p99_ns: field("p99_ns")? as u64,
+                crossings_per_op: number("crossings_per_op")?,
             },
         );
     }
@@ -324,248 +340,51 @@ pub fn parse_bench_doc(text: &str) -> Result<BenchDoc, String> {
     Ok(BenchDoc { ops, strategies })
 }
 
-/// Compares `current` against `baseline`: any strategy whose p99 exceeds
-/// the baseline's by more than `threshold_pct` percent is a regression.
-/// Strategies present in the baseline but missing from the current run
-/// are regressions too (a silently dropped series must not pass the
-/// gate). Returns one message per violation; empty means the gate passes.
-pub fn compare(baseline: &BenchDoc, current: &BenchDoc, threshold_pct: f64) -> Vec<String> {
+/// Compares `current` against `baseline` exactly: the virtual clock is
+/// bit-exact, so any difference in a cell's mean, p50, p99 or
+/// crossings-per-op is a change that must be explained and the baseline
+/// regenerated. A cell missing from either side, or a different `ops`
+/// count, is a violation too. Returns one message per violation; empty
+/// means the gate passes.
+pub fn compare(baseline: &BenchDoc, current: &BenchDoc) -> Vec<String> {
     let mut violations = Vec::new();
+    if baseline.ops != current.ops {
+        violations.push(format!(
+            "ops {} differs from baseline {}",
+            current.ops, baseline.ops
+        ));
+    }
     for (label, base) in &baseline.strategies {
         let Some(cur) = current.strategies.get(label) else {
             violations.push(format!("{label}: missing from current run"));
             continue;
         };
-        let limit = base.p99_ns as f64 * (1.0 + threshold_pct / 100.0);
-        if cur.p99_ns as f64 > limit {
+        if cur != base {
             violations.push(format!(
-                "{label}: p99 {} ns exceeds baseline {} ns by more than {threshold_pct}% \
-                 (limit {:.0} ns)",
-                cur.p99_ns, base.p99_ns, limit
+                "{label}: {} differs from baseline {}",
+                render_stats(cur),
+                render_stats(base)
             ));
+        }
+    }
+    for label in current.strategies.keys() {
+        if !baseline.strategies.contains_key(label) {
+            violations.push(format!("{label}: not in the baseline"));
         }
     }
     violations
 }
 
-/// A minimal JSON reader — just enough structure for the bench documents
-/// and the chrome-trace span validation in `tests/telemetry.rs` (objects,
-/// arrays, strings, numbers, booleans, null), with no external dependency.
-pub mod json {
-    use std::collections::BTreeMap;
-
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// `null`
-        Null,
-        /// `true` / `false`
-        Bool(bool),
-        /// Any JSON number.
-        Number(f64),
-        /// A string (escapes decoded minimally).
-        String(String),
-        /// An array.
-        Array(Vec<Value>),
-        /// An object, key order normalised.
-        Object(BTreeMap<String, Value>),
+/// One cell's gated fields, as the gate reports them.
+pub fn render_stats(s: &StrategyStats) -> String {
+    let mut out = format!(
+        "mean {:.1} / p50 {} / p99 {} ns",
+        s.mean_ns, s.p50_ns, s.p99_ns
+    );
+    if let Some(c) = s.crossings_per_op {
+        out.push_str(&format!(" / {c:.2} crossings/op"));
     }
-
-    impl Value {
-        pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
-            match self {
-                Value::Object(m) => Some(m),
-                _ => None,
-            }
-        }
-
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Array(items) => Some(items),
-                _ => None,
-            }
-        }
-
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::String(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Number(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        pub fn as_u64(&self) -> Option<u64> {
-            self.as_f64().and_then(|n| {
-                if n.fract() == 0.0 && n >= 0.0 {
-                    Some(n as u64)
-                } else {
-                    None
-                }
-            })
-        }
-    }
-
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing content at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-    }
-
-    fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b'{') => parse_object(bytes, pos),
-            Some(b'[') => parse_array(bytes, pos),
-            Some(b'"') => Ok(Value::String(parse_string(bytes, pos)?)),
-            Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
-            Some(b'f') => parse_literal(bytes, pos, "false", Value::Bool(false)),
-            Some(b'n') => parse_literal(bytes, pos, "null", Value::Null),
-            Some(_) => parse_number(bytes, pos),
-            None => Err("unexpected end of input".to_owned()),
-        }
-    }
-
-    fn parse_literal(
-        bytes: &[u8],
-        pos: &mut usize,
-        lit: &str,
-        value: Value,
-    ) -> Result<Value, String> {
-        if bytes[*pos..].starts_with(lit.as_bytes()) {
-            *pos += lit.len();
-            Ok(value)
-        } else {
-            Err(format!("expected `{lit}` at byte {pos}", pos = *pos))
-        }
-    }
-
-    fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        while *pos < bytes.len()
-            && matches!(bytes[*pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        {
-            *pos += 1;
-        }
-        std::str::from_utf8(&bytes[start..*pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Value::Number)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-        *pos += 1; // opening quote
-        let mut out = String::new();
-        while let Some(&b) = bytes.get(*pos) {
-            match b {
-                b'"' => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    *pos += 1;
-                    match bytes.get(*pos) {
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(&c) => out.push(c as char),
-                        None => return Err("dangling escape".to_owned()),
-                    }
-                    *pos += 1;
-                }
-                _ => {
-                    // Multi-byte UTF-8 sequences pass through untouched.
-                    let ch_len = utf8_len(b);
-                    let end = (*pos + ch_len).min(bytes.len());
-                    out.push_str(
-                        std::str::from_utf8(&bytes[*pos..end]).map_err(|e| e.to_string())?,
-                    );
-                    *pos = end;
-                }
-            }
-        }
-        Err("unterminated string".to_owned())
-    }
-
-    fn utf8_len(first: u8) -> usize {
-        match first {
-            0x00..=0x7F => 1,
-            0xC0..=0xDF => 2,
-            0xE0..=0xEF => 3,
-            _ => 4,
-        }
-    }
-
-    fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        *pos += 1; // '{'
-        let mut map = BTreeMap::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) != Some(&b'"') {
-                return Err(format!("expected object key at byte {pos}", pos = *pos));
-            }
-            let key = parse_string(bytes, pos)?;
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) != Some(&b':') {
-                return Err(format!("expected `:` at byte {pos}", pos = *pos));
-            }
-            *pos += 1;
-            let value = parse_value(bytes, pos)?;
-            map.insert(key, value);
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Object(map));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {pos}", pos = *pos)),
-            }
-        }
-    }
-
-    fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        *pos += 1; // '['
-        let mut items = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(parse_value(bytes, pos)?);
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {pos}", pos = *pos)),
-            }
-        }
-    }
+    out
 }
 
 #[cfg(test)]
@@ -675,14 +494,51 @@ mod tests {
         assert_eq!(a, b, "virtual-clock measurements are reproducible");
     }
 
+    /// The document must not depend on how many executor workers run the
+    /// sentinels: a scheduling dependence (like a readahead harvest that
+    /// polls instead of waiting) shows up here as a differing cell.
     #[test]
-    fn compare_passes_identical_documents() {
-        let doc = parse_bench_doc(&bench_json(10, HardwareProfile::pentium_ii_300())).expect("doc");
-        assert!(compare(&doc, &doc, 30.0).is_empty());
+    fn bench_json_is_identical_across_executor_sizes() {
+        let var = afs_core::env::ENV_FLEET_WORKERS;
+        let saved = std::env::var(var).ok();
+        let docs: Vec<(&str, String)> = ["1", "2", "4"]
+            .into_iter()
+            .map(|workers| {
+                std::env::set_var(var, workers);
+                (workers, bench_json(10, HardwareProfile::pentium_ii_300()))
+            })
+            .collect();
+        match saved {
+            Some(v) => std::env::set_var(var, v),
+            None => std::env::remove_var(var),
+        }
+        for (workers, doc) in &docs[1..] {
+            assert_eq!(
+                &docs[0].1, doc,
+                "bench document under {workers} workers differs from 1 worker"
+            );
+        }
     }
 
     #[test]
-    fn compare_flags_p99_regressions_and_missing_strategies() {
+    fn compare_passes_identical_documents() {
+        let doc = parse_bench_doc(&bench_json(10, HardwareProfile::pentium_ii_300())).expect("doc");
+        assert!(compare(&doc, &doc).is_empty());
+    }
+
+    #[test]
+    fn committed_baseline_parses_strictly_and_passes_against_itself() {
+        let text = include_str!("../../../BENCH_baseline.json");
+        assert!(afs_telemetry::json_is_valid(text), "strict JSON");
+        let doc = parse_bench_doc(text).expect("baseline");
+        assert_eq!(doc.ops, 200);
+        assert!(compare(&doc, &doc).is_empty());
+        let batched = doc.strategies["ablation_batch-on"];
+        assert!(batched.crossings_per_op.is_some(), "crossings are gated");
+    }
+
+    #[test]
+    fn compare_flags_every_changed_field_and_missing_or_extra_cells() {
         let baseline = parse_bench_doc(
             r#"{"ops": 10, "strategies": {
                 "DLL": {"mean_ns": 100.0, "p50_ns": 100, "p99_ns": 100},
@@ -696,12 +552,31 @@ mod tests {
             }}"#,
         )
         .expect("current");
-        let violations = compare(&baseline, &current, 30.0);
-        assert_eq!(violations.len(), 2, "regression + missing: {violations:?}");
+        let violations = compare(&baseline, &current);
+        assert_eq!(violations.len(), 2, "changed + missing: {violations:?}");
         assert!(violations.iter().any(|v| v.contains("DLL")));
         assert!(violations.iter().any(|v| v.contains("missing")));
-        // Within threshold passes.
-        assert!(compare(&baseline, &baseline, 30.0).is_empty());
+        assert!(compare(&baseline, &baseline).is_empty());
+        // Every gated field counts, not just p99; so do extra cells.
+        let base = baseline.strategies["DLL"];
+        for changed in [
+            StrategyStats {
+                mean_ns: 100.5,
+                ..base
+            },
+            StrategyStats { p50_ns: 99, ..base },
+            StrategyStats {
+                crossings_per_op: Some(0.25),
+                ..base
+            },
+        ] {
+            let mut cur = baseline.clone();
+            cur.strategies.insert("DLL".to_owned(), changed);
+            assert_eq!(compare(&baseline, &cur).len(), 1, "{changed:?}");
+        }
+        let mut extra = baseline.clone();
+        extra.strategies.insert("new-cell".to_owned(), base);
+        assert_eq!(compare(&baseline, &extra).len(), 1, "extra cell flagged");
     }
 
     #[test]
@@ -711,5 +586,18 @@ mod tests {
         assert!(parse_bench_doc(r#"{"ops": 5}"#).is_err());
         assert!(parse_bench_doc(r#"{"ops": 5, "strategies": {}}"#).is_err());
         assert!(parse_bench_doc(r#"{"ops": 5, "strategies": {"DLL": {"p99_ns": 1}}}"#).is_err());
+        // Strict JSON: the lax numbers the old reader took are refused.
+        let cell = |p99: &str| {
+            format!(
+                r#"{{"ops": 5, "strategies": {{"DLL": {{"mean_ns": 1.0, "p50_ns": 1, "p99_ns": {p99}}}}}}}"#
+            )
+        };
+        assert!(parse_bench_doc(&cell("1")).is_ok());
+        for bad in ["+1", "01", "1.", "\"1\""] {
+            assert!(
+                parse_bench_doc(&cell(bad)).is_err(),
+                "p99 {bad} must be rejected"
+            );
+        }
     }
 }

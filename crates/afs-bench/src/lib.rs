@@ -21,7 +21,7 @@ pub use cluster::{
     measure_cluster_rebalance, render_cluster_panel, ClusterMeasurement, RebalanceMeasurement,
     CLUSTER_BLOCK, CLUSTER_COPIES, CLUSTER_FILES, CLUSTER_FLEET, CLUSTER_REBALANCE_KEYS,
 };
-pub use gate::{bench_json, compare, parse_bench_doc, BenchDoc, StrategyStats};
+pub use gate::{bench_json, compare, parse_bench_doc, render_stats, BenchDoc, StrategyStats};
 
 use std::sync::Arc;
 

@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use afs_interpose::ApiLayer;
 use afs_ipc::SyncRegistry;
@@ -31,8 +31,9 @@ use afs_winapi::{
 
 use crate::ctx::SentinelCtx;
 use crate::registry::SentinelRegistry;
-use crate::spec::{SentinelSpec, Strategy};
-use crate::strategy::executor::{self, FleetShardStat, SentinelExecutor};
+use crate::spec::{Backing, SentinelSpec, Strategy};
+use crate::strategy::executor::{self, FleetShardStat, SentinelExecutor, TaskDone};
+use crate::strategy::fence::{FileWrites, PendingWrites};
 use crate::strategy::mux::SharedSentinel;
 use crate::strategy::{self, ActiveOps, Instruments};
 
@@ -40,11 +41,144 @@ use crate::strategy::{self, ActiveOps, Instruments};
 /// layer's range so dispatch is unambiguous.
 const ACTIVE_HANDLE_BASE: u64 = 1 << 32;
 
+/// A shared sentinel's registry key: `(data-part path, encoded spec)`.
+type SharedKey = (String, Vec<u8>);
+
+/// One entry of the shared-sentinel registry.
+enum SharedSlot {
+    /// A first open is building the sentinel; later opens wait for it
+    /// instead of building a second one over the same durable store.
+    Building,
+    /// The built sentinel — weak, it lives exactly as long as some open
+    /// handle keeps it alive — and its task's completion cell, which
+    /// outlives it so a reopen can wait out a close hook still running.
+    Built(Weak<dyn SharedSentinel>, Option<Arc<TaskDone>>),
+}
+
+impl SharedSlot {
+    /// Whether the entry still describes a sentinel: being built, alive,
+    /// or shutting down.
+    fn in_use(&self) -> bool {
+        match self {
+            SharedSlot::Building => true,
+            SharedSlot::Built(weak, done) => {
+                weak.strong_count() > 0 || done.as_ref().is_some_and(|d| !d.is_finished())
+            }
+        }
+    }
+}
+
 /// Sharable sentinels keyed by `(path, encoded spec)`: a second open of
 /// the same active file with the same spec attaches a new session instead
-/// of spawning a second sentinel. Weak entries — the sentinel lives
-/// exactly as long as some open handle keeps it alive.
-type SharedMap = Arc<Mutex<HashMap<(String, Vec<u8>), Weak<dyn SharedSentinel>>>>;
+/// of spawning a second sentinel. At most one sentinel per key exists at
+/// any time — building, serving, or running its close hook — because two
+/// would each recover their own copy of the file's store and overwrite
+/// each other's commits.
+///
+/// Private opens coordinate here too: the in-flight write counts of the
+/// private wire opens of each disk-backed file ([`FileWrites`]).
+#[derive(Default)]
+struct SharedRegistry {
+    slots: Mutex<HashMap<SharedKey, SharedSlot>>,
+    /// Signalled whenever a `Building` slot resolves.
+    changed: Condvar,
+    writes: Mutex<HashMap<String, Weak<FileWrites>>>,
+}
+
+/// What [`SharedRegistry::join_or_claim`] found.
+enum Joined {
+    /// A live sentinel took the open as a new session.
+    Attached(Arc<dyn ActiveOps>, Arc<dyn SharedSentinel>),
+    /// No sentinel exists; the caller must build one and [`BuildClaim::publish`] it.
+    Claimed(BuildClaim),
+}
+
+impl SharedRegistry {
+    /// A new private open's share of `file`'s in-flight write count.
+    fn pending_writes(&self, file: String) -> Arc<PendingWrites> {
+        let mut writes = self.writes.lock();
+        let shared = writes
+            .get(&file)
+            .and_then(Weak::upgrade)
+            .unwrap_or_else(|| {
+                writes.retain(|_, w| w.strong_count() > 0);
+                let fresh = Arc::new(FileWrites::default());
+                writes.insert(file, Arc::downgrade(&fresh));
+                fresh
+            });
+        Arc::new(PendingWrites::new(shared))
+    }
+
+    /// Attaches to the live sentinel for `key`, or claims the right to
+    /// build it. Waits while another open is building it, and while a
+    /// terminally closed predecessor still runs its close hook.
+    fn join_or_claim(self: &Arc<Self>, key: SharedKey) -> Joined {
+        let mut slots = self.slots.lock();
+        loop {
+            let (existing, done) = match slots.get(&key) {
+                Some(SharedSlot::Building) => {
+                    self.changed.wait(&mut slots);
+                    continue;
+                }
+                Some(SharedSlot::Built(weak, done)) => (weak.upgrade(), done.clone()),
+                None => (None, None),
+            };
+            if let Some(ops) = existing.as_ref().and_then(|s| s.attach()) {
+                drop(slots);
+                return Joined::Attached(ops, existing.expect("attached sentinel"));
+            }
+            // Neither the wait nor dropping what may be the last reference
+            // happens under the registry lock: both can run a close hook
+            // that opens other active files through this layer.
+            if let Some(done) = done.filter(|d| !d.is_finished()) {
+                drop(slots);
+                drop(existing);
+                done.wait();
+                slots = self.slots.lock();
+                continue;
+            }
+            slots.insert(key.clone(), SharedSlot::Building);
+            drop(slots);
+            drop(existing);
+            return Joined::Claimed(BuildClaim {
+                registry: Arc::clone(self),
+                key: Some(key),
+            });
+        }
+    }
+}
+
+/// The right to build the shared sentinel for one key. Dropping it
+/// unpublished (the build failed) releases the waiting opens.
+struct BuildClaim {
+    registry: Arc<SharedRegistry>,
+    key: Option<SharedKey>,
+}
+
+impl BuildClaim {
+    /// Publishes the built sentinel for later opens to join. The builder
+    /// attaches its own session first, so the sentinel cannot terminally
+    /// close before its first open has a handle on it.
+    fn publish(mut self, sentinel: &Arc<dyn SharedSentinel>) {
+        let key = self.key.take().expect("claim published once");
+        let mut slots = self.registry.slots.lock();
+        slots.retain(|_, slot| slot.in_use());
+        slots.insert(
+            key,
+            SharedSlot::Built(Arc::downgrade(sentinel), sentinel.task_done()),
+        );
+        self.registry.changed.notify_all();
+    }
+}
+
+impl Drop for BuildClaim {
+    fn drop(&mut self) {
+        if let Some(key) = self.key.take() {
+            self.registry.slots.lock().remove(&key);
+            self.registry.changed.notify_all();
+        }
+    }
+}
 
 struct ActiveEntry {
     ops: Arc<dyn ActiveOps>,
@@ -72,7 +206,7 @@ pub struct ActiveFileSystem {
     user: String,
     signing_key: Option<u64>,
     handles: Arc<HandleTable<ActiveEntry>>,
-    shared: SharedMap,
+    shared: Arc<SharedRegistry>,
     /// The bounded worker pool every §4.2/§4.3 and mux sentinel of this
     /// runtime is scheduled on. Declared after `handles` so that when the
     /// last clone drops, closing transports wake their tasks before the
@@ -121,7 +255,7 @@ impl ActiveFileSystem {
             user: user.to_owned(),
             signing_key: None,
             handles: Arc::new(HandleTable::with_start(ACTIVE_HANDLE_BASE)),
-            shared: Arc::new(Mutex::new(HashMap::new())),
+            shared: Arc::default(),
             exec,
             nested: false,
         }
@@ -160,9 +294,13 @@ impl ActiveFileSystem {
     /// session count)` per entry, for diagnostics (`afsh sessions`).
     pub fn shared_sentinels(&self) -> Vec<(String, String, &'static str, usize)> {
         self.shared
+            .slots
             .lock()
             .iter()
-            .filter_map(|((path, spec_bytes), weak)| {
+            .filter_map(|((path, spec_bytes), slot)| {
+                let SharedSlot::Built(weak, _) = slot else {
+                    return None;
+                };
                 let shared = weak.upgrade()?;
                 let spec = SentinelSpec::decode(spec_bytes).ok()?;
                 Some((
@@ -286,18 +424,23 @@ impl ActiveFileSystem {
                 disposition,
                 Disposition::OpenExisting | Disposition::OpenAlways
             );
-        let key = (vpath.file_path().to_string(), spec.encode());
-        if sharable {
-            if let Some(existing) = self.shared.lock().get(&key).and_then(Weak::upgrade) {
-                if let Some(ops) = existing.attach() {
+        // A sharable open joins the live sentinel, or claims the right to
+        // build it before its store is opened below.
+        let claim = if sharable {
+            let key = (vpath.file_path().to_string(), spec.encode());
+            match self.shared.join_or_claim(key) {
+                Joined::Attached(ops, existing) => {
                     return Ok(self.handles.insert(ActiveEntry {
                         ops,
                         access,
                         shared: Some(existing),
                     }));
                 }
+                Joined::Claimed(claim) => Some(claim),
             }
-        }
+        } else {
+            None
+        };
         let mut ctx = SentinelCtx::new(
             vpath.clone(),
             self.user.clone(),
@@ -328,18 +471,31 @@ impl ActiveFileSystem {
         } else {
             None
         };
-        let instr = Instruments::new(
+        let mut instr = Instruments::new(
             Arc::clone(&self.telemetry),
             spec.name(),
             Arc::clone(&self.exec),
             self.nested,
             slo,
         );
-        if sharable {
-            // First open (or the previous sentinel terminally closed):
-            // build the shared sentinel *without* holding the registry
-            // lock — its open hook may recursively open other active
-            // files through this same layer.
+        // A private wire open of a disk-backed file shares the data part
+        // with the file's other private opens: its commands must not
+        // overtake their acknowledged write-behind writes.
+        if claim.is_none()
+            && batch.is_none()
+            && spec.backing_kind() == Backing::Disk
+            && matches!(
+                spec.strategy(),
+                Strategy::ProcessControl | Strategy::DllThread
+            )
+        {
+            instr.writes = Some(self.shared.pending_writes(vpath.file_path().to_string()));
+        }
+        if let Some(claim) = claim {
+            // First open (or the previous sentinel terminally closed and
+            // was reaped): build the shared sentinel *without* holding
+            // the registry lock — its open hook may recursively open
+            // other active files through this same layer.
             let logic = self
                 .registry
                 .instantiate(&spec)
@@ -362,24 +518,8 @@ impl ActiveFileSystem {
                 )?,
                 Strategy::Process => unreachable!("gated by `sharable`"),
             };
-            let mut map = self.shared.lock();
-            if let Some(existing) = map.get(&key).and_then(Weak::upgrade) {
-                if let Some(ops) = existing.attach() {
-                    // Lost a racing first-open: join theirs. Dropping
-                    // `built` shuts its wire down; a spawned loop sees
-                    // the dead transport and runs its close hook.
-                    drop(map);
-                    return Ok(self.handles.insert(ActiveEntry {
-                        ops,
-                        access,
-                        shared: Some(existing),
-                    }));
-                }
-            }
-            map.retain(|_, weak| weak.strong_count() > 0);
-            map.insert(key, Arc::downgrade(&built));
-            drop(map);
             let ops = built.attach().ok_or(Win32Error::BrokenPipe)?;
+            claim.publish(&built);
             return Ok(self.handles.insert(ActiveEntry {
                 ops,
                 access,
@@ -754,7 +894,7 @@ pub struct ActiveFilesLayer {
     user: String,
     signing_key: Option<u64>,
     handles: Arc<HandleTable<ActiveEntry>>,
-    shared: SharedMap,
+    shared: Arc<SharedRegistry>,
     /// One executor per layer: every [`ActiveFileSystem`] this layer
     /// wraps schedules its sentinels on the same bounded pool.
     exec: Arc<SentinelExecutor>,
@@ -785,7 +925,7 @@ impl ActiveFilesLayer {
             user: user.to_owned(),
             signing_key: None,
             handles: Arc::new(HandleTable::with_start(ACTIVE_HANDLE_BASE)),
-            shared: Arc::new(Mutex::new(HashMap::new())),
+            shared: Arc::default(),
             exec,
         }
     }
@@ -825,7 +965,7 @@ impl ActiveFilesLayer {
     /// sentinel task and no fleet worker is live.
     pub fn quiesce(&self) {
         drop(self.handles.drain());
-        self.shared.lock().clear();
+        self.shared.slots.lock().clear();
         self.exec.shutdown();
     }
 
@@ -839,9 +979,13 @@ impl ActiveFilesLayer {
     /// session count)` per entry, across every instance this layer wraps.
     pub fn shared_sentinels(&self) -> Vec<(String, String, &'static str, usize)> {
         self.shared
+            .slots
             .lock()
             .iter()
-            .filter_map(|((path, spec_bytes), weak)| {
+            .filter_map(|((path, spec_bytes), slot)| {
+                let SharedSlot::Built(weak, _) = slot else {
+                    return None;
+                };
                 let shared = weak.upgrade()?;
                 let spec = SentinelSpec::decode(spec_bytes).ok()?;
                 Some((

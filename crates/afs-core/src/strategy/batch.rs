@@ -264,27 +264,29 @@ impl RingDriver {
         Ok(())
     }
 
-    /// Harvests any speculative completions that have landed, filling the
-    /// readahead cache with current-epoch results.
-    fn harvest(&self, state: &mut DriverState) -> afs_ipc::Result<()> {
-        let inflight = std::mem::take(&mut state.inflight);
-        for (id, offset, len, epoch) in inflight {
-            match self.ring.try_complete(id)? {
-                None => state.inflight.push((id, offset, len, epoch)),
-                Some(Cqe {
+    /// Harvests the speculative completions of the batch already in
+    /// flight into the readahead cache (current-epoch results only). It
+    /// waits for them instead of polling: their crossing was charged at
+    /// submit, and what the cache holds must not depend on how far the
+    /// sentinel task has got — otherwise crossings and latency would
+    /// follow OS scheduling.
+    fn harvest(&self, state: &mut DriverState) {
+        for (id, offset, len, epoch) in std::mem::take(&mut state.inflight) {
+            match self.ring.complete(id) {
+                Ok(Cqe {
                     reply: OpReply::Read { .. },
                     data,
                     ..
                 }) if epoch == state.epoch => {
                     state.cache.insert((offset, len), data.unwrap_or_default());
                 }
-                // Stale epoch or a speculative failure: the unbatched
-                // wiring never issued this read, so its outcome must not
-                // become application-visible.
-                Some(_) => {}
+                // Stale epoch, a speculative failure, or a sentinel that
+                // closed: the unbatched wiring never issued this read, so
+                // its outcome must not become application-visible — and
+                // must not fail the demand read either.
+                _ => {}
             }
         }
-        Ok(())
     }
 
     /// Serves a demand read: from the readahead cache when the exact span
@@ -292,7 +294,7 @@ impl RingDriver {
     /// staged writes + the demand read + sequential speculative reads.
     fn demand_read(&self, state: &mut DriverState, offset: u64, len: u32) -> afs_ipc::Result<()> {
         self.sync_heal_generation(state);
-        self.harvest(state)?;
+        self.harvest(state);
         if let Some(data) = state.cache.remove(&(offset, len)) {
             self.gauges.readahead_hit();
             state.reply = Some(OpReply::Read {

@@ -26,6 +26,7 @@ use afs_winapi::Win32Error;
 
 use crate::ctx::SentinelCtx;
 use crate::logic::{SentinelError, SentinelLogic};
+use crate::strategy::executor::TaskDone;
 use crate::strategy::handle::StrategyHandle;
 use crate::strategy::mux::SharedSentinel;
 use crate::strategy::{
@@ -375,6 +376,12 @@ impl SharedSentinel for InlineShared {
 
     fn session_count(&self) -> usize {
         self.core.lock().live
+    }
+
+    /// The close hook runs inline under the core lock, so a terminal
+    /// close is complete before `attach` can observe it.
+    fn task_done(&self) -> Option<Arc<TaskDone>> {
+        None
     }
 }
 

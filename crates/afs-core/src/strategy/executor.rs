@@ -106,6 +106,11 @@ impl TaskDone {
         self.cv.notify_all();
     }
 
+    /// Whether the task has fully terminated.
+    pub(crate) fn is_finished(&self) -> bool {
+        self.state.lock().is_some()
+    }
+
     /// Blocks until the task has fully terminated; returns its final
     /// virtual time.
     pub(crate) fn wait(&self) -> SimTime {

@@ -26,6 +26,7 @@ use afs_telemetry::{now_ns, LatencyHistogram, Layer, SloTracker, SpanGuard, Span
 use afs_winapi::{SeekMethod, Win32Error};
 
 use crate::logic::SentinelError;
+use crate::strategy::fence::PendingWrites;
 use crate::strategy::{reap, to_win32, ActiveOps, Op, OpObserver, OpReply, Reaper};
 
 /// Every [`OpKind`] in [`op_index`] order, for the per-op histogram cache.
@@ -73,6 +74,10 @@ pub(crate) struct StrategyHandle<T: Transport<Cmd = Op, Reply = OpReply>> {
     slo: Option<Arc<SloTracker>>,
     /// Per-(strategy, op) latency histograms, resolved once at open.
     hists: [Arc<LatencyHistogram>; 7],
+    /// In-flight write accounting for a private open of a disk-backed
+    /// file: every command waits out other opens' write-behind (see
+    /// [`crate::strategy::fence`]).
+    writes: Option<Arc<PendingWrites>>,
 }
 
 impl<T: Transport<Cmd = Op, Reply = OpReply>> StrategyHandle<T> {
@@ -100,6 +105,16 @@ impl<T: Transport<Cmd = Op, Reply = OpReply>> StrategyHandle<T> {
             scope: obs.scope,
             slo: obs.slo,
             hists,
+            writes: obs.writes,
+        }
+    }
+
+    /// Before every command: lets other private opens' acknowledged
+    /// writes land first, so this op observes (or overwrites) them in the
+    /// order their `WriteFile` calls returned.
+    fn wait_for_other_writers(&self) {
+        if let Some(writes) = &self.writes {
+            writes.wait_for_others();
         }
     }
 
@@ -188,6 +203,7 @@ impl<T: Transport<Cmd = Op, Reply = OpReply>> StrategyHandle<T> {
     /// (parking_lot mutexes are not reentrant, so `seek` cannot simply
     /// call [`ActiveOps::size`] once it has serialised itself).
     fn size_locked(&self) -> Result<u64, Win32Error> {
+        self.wait_for_other_writers();
         self.traced(OpKind::Size, || {
             let _wire = self.transport_span("round-trip");
             self.charge_round_trip();
@@ -213,6 +229,7 @@ impl<T: Transport<Cmd = Op, Reply = OpReply>> StrategyHandle<T> {
         op: Op,
         mut fill: impl FnMut(usize) -> Result<usize, Win32Error>,
     ) -> Result<usize, Win32Error> {
+        self.wait_for_other_writers();
         self.transport
             .send_cmd(op)
             .map_err(|_| Win32Error::BrokenPipe)?;
@@ -292,21 +309,34 @@ impl<T: Transport<Cmd = Op, Reply = OpReply>> ActiveOps for StrategyHandle<T> {
         }
         let _op = self.op_lock.lock();
         self.check_sticky()?;
+        self.wait_for_other_writers();
         self.traced(OpKind::Write, || {
             let _wire = self.transport_span("send");
             self.charge_round_trip();
             let mut pointer = self.pointer.lock();
+            if let Some(writes) = &self.writes {
+                writes.issued();
+            }
             let result = (|| {
-                self.transport
+                let sent = self
+                    .transport
                     .send_cmd(Op::Write {
                         offset: *pointer,
                         len: data.len() as u32,
                     })
-                    .map_err(|_| Win32Error::BrokenPipe)?;
-                if !data.is_empty() {
-                    self.transport
-                        .send_data(data)
-                        .map_err(|_| Win32Error::BrokenPipe)?;
+                    .and_then(|()| {
+                        if data.is_empty() {
+                            Ok(())
+                        } else {
+                            self.transport.send_data(data)
+                        }
+                    });
+                if sent.is_err() {
+                    // The write never reached a live sentinel.
+                    if let Some(writes) = &self.writes {
+                        writes.settle();
+                    }
+                    return Err(Win32Error::BrokenPipe);
                 }
                 if self.transport.crossing() == CrossingKind::None {
                     // §4.4: the sentinel routine ran inline on this call,
@@ -429,6 +459,7 @@ impl<T: Transport<Cmd = Op, Reply = OpReply>> ActiveOps for StrategyHandle<T> {
         }
         let _op = self.op_lock.lock();
         self.check_sticky()?;
+        self.wait_for_other_writers();
         self.traced(OpKind::Control, || {
             let _wire = self.transport_span("round-trip");
             self.charge_round_trip();
@@ -460,6 +491,7 @@ impl<T: Transport<Cmd = Op, Reply = OpReply>> ActiveOps for StrategyHandle<T> {
         }
         let _op = self.op_lock.lock();
         self.check_sticky()?;
+        self.wait_for_other_writers();
         self.traced(OpKind::Flush, || {
             let _wire = self.transport_span("round-trip");
             self.charge_round_trip();
@@ -565,6 +597,7 @@ mod tests {
             tel: Arc::clone(&tel),
             scope: Arc::new(SpanScope::default()),
             slo: None,
+            writes: None,
         };
         StrategyHandle::new(
             OverDeliver { n },

@@ -27,6 +27,7 @@ pub(crate) mod batch;
 pub mod control;
 pub mod dll;
 pub(crate) mod executor;
+pub(crate) mod fence;
 pub(crate) mod handle;
 pub(crate) mod mux;
 pub mod process;
@@ -65,6 +66,9 @@ pub(crate) struct Instruments {
     /// (`slo_p99_us=` / `slo_err_ppm=`); the strategy handle records every
     /// op into it.
     pub(crate) slo: Option<Arc<SloTracker>>,
+    /// This open's in-flight write count, for a private wire open of a
+    /// disk-backed file (see [`fence`]).
+    pub(crate) writes: Option<Arc<fence::PendingWrites>>,
 }
 
 impl Instruments {
@@ -81,6 +85,7 @@ impl Instruments {
             exec,
             pinned,
             slo,
+            writes: None,
         }
     }
 
@@ -105,6 +110,7 @@ impl Instruments {
             tel: Arc::clone(&self.tel),
             scope,
             slo: self.slo.clone(),
+            writes: self.writes.clone(),
         }
     }
 
@@ -131,6 +137,7 @@ pub(crate) struct OpObserver {
     pub(crate) tel: Arc<Telemetry>,
     pub(crate) scope: Arc<SpanScope>,
     pub(crate) slo: Option<Arc<SloTracker>>,
+    pub(crate) writes: Option<Arc<fence::PendingWrites>>,
 }
 
 /// Sentinel-side telemetry: span creation (parented across threads via the
@@ -628,6 +635,7 @@ pub(crate) struct DispatchTask {
     port: PairPort<Op, OpReply>,
     sticky: Arc<Mutex<Option<SentinelError>>>,
     side: SentinelSide,
+    writes: Option<Arc<fence::PendingWrites>>,
 }
 
 impl DispatchTask {
@@ -637,6 +645,7 @@ impl DispatchTask {
         port: PairPort<Op, OpReply>,
         sticky: Arc<Mutex<Option<SentinelError>>>,
         side: SentinelSide,
+        writes: Option<Arc<fence::PendingWrites>>,
     ) -> DispatchTask {
         DispatchTask {
             logic,
@@ -644,6 +653,7 @@ impl DispatchTask {
             port,
             sticky,
             side,
+            writes,
         }
     }
 
@@ -674,6 +684,9 @@ impl DispatchTask {
                     *self.sticky.lock() = Some(e);
                 }
                 port.pool().put(buf);
+                if let Some(writes) = &self.writes {
+                    writes.applied();
+                }
                 TaskPoll::Pending
             }
             Op::Close => {
@@ -706,6 +719,15 @@ impl DispatchTask {
                 }
                 TaskPoll::Pending
             }
+        }
+    }
+}
+
+impl Drop for DispatchTask {
+    /// Writes still counted in flight will never be applied now.
+    fn drop(&mut self) {
+        if let Some(writes) = &self.writes {
+            writes.settle();
         }
     }
 }

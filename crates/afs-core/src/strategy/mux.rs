@@ -37,7 +37,7 @@ use afs_winapi::Win32Error;
 use crate::ctx::SentinelCtx;
 use crate::logic::{SentinelError, SentinelLogic};
 use crate::spec::Strategy;
-use crate::strategy::executor::{SentinelPoll, TaskPoll};
+use crate::strategy::executor::{SentinelPoll, TaskDone, TaskPoll};
 use crate::strategy::handle::StrategyHandle;
 use crate::strategy::{
     execute_op, op_name, take_sticky_preemption, to_win32, ActiveOps, Instruments, Op, OpReply,
@@ -116,6 +116,10 @@ pub(crate) trait SharedSentinel: Send + Sync {
     fn attach(&self) -> Option<Arc<dyn ActiveOps>>;
     /// Live session count, for diagnostics (`afsh sessions`).
     fn session_count(&self) -> usize;
+    /// The completion cell of the sentinel's executor task, when it runs
+    /// on one: a terminal close returns before the task has finished its
+    /// close hook, so a reopen waits on this before building a successor.
+    fn task_done(&self) -> Option<Arc<TaskDone>>;
 }
 
 /// The shared form of the §4.2/§4.3 wire strategies: one sentinel task,
@@ -129,6 +133,7 @@ pub(crate) struct MuxShared {
     /// Interned data-part path, for the per-session span note.
     file: &'static str,
     instr: Instruments,
+    done: Arc<TaskDone>,
 }
 
 impl SharedSentinel for MuxShared {
@@ -174,6 +179,10 @@ impl SharedSentinel for MuxShared {
 
     fn session_count(&self) -> usize {
         self.hub.live_sessions().len()
+    }
+
+    fn task_done(&self) -> Option<Arc<TaskDone>> {
+        Some(Arc::clone(&self.done))
     }
 }
 
@@ -226,7 +235,8 @@ pub(crate) fn open_shared(
     });
     // The hub reaps by waiting on the executor's completion cell, the
     // task-world stand-in for joining a dedicated sentinel thread.
-    hub.set_reaper(Box::new(move || done.wait()));
+    let reaped = Arc::clone(&done);
+    hub.set_reaper(Box::new(move || reaped.wait()));
     Ok(Arc::new(MuxShared {
         hub,
         sessions,
@@ -235,6 +245,7 @@ pub(crate) fn open_shared(
         strategy: label,
         file,
         instr,
+        done,
     }))
 }
 

@@ -65,9 +65,17 @@ pub(crate) fn open(
     let sentinel_sticky = Arc::clone(&sticky);
     let scope = Arc::new(SpanScope::default());
     let side = instr.sentinel_side("Thread", Arc::clone(&scope));
+    let writes = instr.writes.clone();
     let done = instr.spawn_task(move |waker| {
         port.set_wakeup(waker);
-        Box::new(DispatchTask::new(logic, ctx, port, sentinel_sticky, side))
+        Box::new(DispatchTask::new(
+            logic,
+            ctx,
+            port,
+            sentinel_sticky,
+            side,
+            writes,
+        ))
     });
     Ok(Arc::new(StrategyHandle::new(
         transport,

@@ -383,169 +383,11 @@ pub fn flight_bundles_json(bundles: &[FlightBundle]) -> String {
     out
 }
 
-/// Minimal JSON validity check (recursive descent over the full grammar).
+/// JSON validity check: whether [`crate::json::parse`] accepts `input`.
 /// Used by tests to guard the exporters against schema rot without pulling
 /// in a JSON dependency.
 pub fn json_is_valid(input: &str) -> bool {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    let ok = parse_value(bytes, &mut pos);
-    skip_ws(bytes, &mut pos);
-    ok && pos == bytes.len()
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> bool {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => parse_string(bytes, pos),
-        Some(b't') => parse_literal(bytes, pos, b"true"),
-        Some(b'f') => parse_literal(bytes, pos, b"false"),
-        Some(b'n') => parse_literal(bytes, pos, b"null"),
-        Some(_) => parse_number(bytes, pos),
-        None => false,
-    }
-}
-
-fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &[u8]) -> bool {
-    if bytes[*pos..].starts_with(lit) {
-        *pos += lit.len();
-        true
-    } else {
-        false
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> bool {
-    *pos += 1; // consume '{'
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return true;
-    }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') || !parse_string(bytes, pos) {
-            return false;
-        }
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return false;
-        }
-        *pos += 1;
-        if !parse_value(bytes, pos) {
-            return false;
-        }
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return true;
-            }
-            _ => return false,
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize) -> bool {
-    *pos += 1; // consume '['
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return true;
-    }
-    loop {
-        if !parse_value(bytes, pos) {
-            return false;
-        }
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return true;
-            }
-            _ => return false,
-        }
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> bool {
-    *pos += 1; // consume opening quote
-    while *pos < bytes.len() {
-        match bytes[*pos] {
-            b'"' => {
-                *pos += 1;
-                return true;
-            }
-            b'\\' => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        if bytes.len() < *pos + 5
-                            || !bytes[*pos + 1..*pos + 5]
-                                .iter()
-                                .all(|b| b.is_ascii_hexdigit())
-                        {
-                            return false;
-                        }
-                        *pos += 5;
-                    }
-                    _ => return false,
-                }
-            }
-            0x00..=0x1f => return false,
-            _ => *pos += 1,
-        }
-    }
-    false
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> bool {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let int_start = *pos;
-    while *pos < bytes.len() && bytes[*pos].is_ascii_digit() {
-        *pos += 1;
-    }
-    if *pos == int_start {
-        return false;
-    }
-    if bytes.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        let frac_start = *pos;
-        while *pos < bytes.len() && bytes[*pos].is_ascii_digit() {
-            *pos += 1;
-        }
-        if *pos == frac_start {
-            return false;
-        }
-    }
-    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        let exp_start = *pos;
-        while *pos < bytes.len() && bytes[*pos].is_ascii_digit() {
-            *pos += 1;
-        }
-        if *pos == exp_start {
-            return false;
-        }
-    }
-    *pos > start
+    crate::json::parse(input).is_ok()
 }
 
 #[cfg(test)]
@@ -568,20 +410,6 @@ mod tests {
             bytes: 512,
             thread: 1,
         }
-    }
-
-    #[test]
-    fn json_validator_accepts_and_rejects() {
-        assert!(json_is_valid("{}"));
-        assert!(json_is_valid("[]"));
-        assert!(json_is_valid(r#"{"a":[1,2.5,-3e2],"b":"x\n","c":null}"#));
-        assert!(json_is_valid("  [true, false]  "));
-        assert!(!json_is_valid(""));
-        assert!(!json_is_valid("{"));
-        assert!(!json_is_valid("[1,]"));
-        assert!(!json_is_valid(r#"{"a":}"#));
-        assert!(!json_is_valid("[1] trailing"));
-        assert!(!json_is_valid(r#"{"a" 1}"#));
     }
 
     #[test]

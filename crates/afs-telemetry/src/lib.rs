@@ -36,14 +36,17 @@
 
 #![warn(missing_docs)]
 
+mod counters;
 mod export;
 mod flight;
 mod gauges;
 mod hist;
+pub mod json;
 mod registry;
 mod slo;
 mod span;
 
+pub use counters::{Counter, CounterKind, CounterSet};
 pub use export::{
     chrome_trace, flight_bundles_json, json_is_valid, json_snapshot, prometheus_is_valid,
     prometheus_text,

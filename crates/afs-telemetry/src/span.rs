@@ -30,6 +30,7 @@ use std::time::Instant;
 use afs_sim::clock;
 use parking_lot::Mutex;
 
+use crate::counters::{Counter, CounterSet};
 use crate::flight::FlightRecorder;
 use crate::gauges::{
     ClusterGauges, FleetGauges, QueueGauges, RingGauges, SentinelStats, SentinelStatsSnapshot,
@@ -567,6 +568,20 @@ impl Telemetry {
     /// live, like the queue gauges.
     pub fn cluster(&self) -> &Arc<ClusterGauges> {
         &self.cluster
+    }
+
+    /// Every hub-wide declared counter — queue, session, fleet, store,
+    /// ring and cluster sets, in that order — with its current value.
+    /// Per-sentinel stats are separate
+    /// ([`Telemetry::sentinel_stats_snapshots`]): they carry a label.
+    pub fn counters(&self) -> Vec<Counter> {
+        let mut out = self.gauges.snapshot().counters();
+        out.extend(self.sessions.snapshot().counters());
+        out.extend(self.fleet.snapshot().counters());
+        out.extend(self.store.snapshot().counters());
+        out.extend(self.rings.snapshot().counters());
+        out.extend(self.cluster.snapshot().counters());
+        out
     }
 
     /// The always-on flight recorder: bounded per-subsystem event rings

@@ -19,7 +19,7 @@ use afs_core::{
 use afs_interpose::{CallCounters, CountingLayer};
 use afs_net::Service;
 use afs_remote::{FileServer, MailStore, PopServer, QuoteServer, SmtpServer};
-use afs_telemetry::{json_snapshot, prometheus_text, Metric, SpanRecord};
+use afs_telemetry::{json_snapshot, prometheus_text, CounterSet, Metric, SpanRecord};
 use afs_winapi::{Access, Disposition, FileApi, SeekMethod};
 
 /// Shell errors carry the failing command and a message.
@@ -357,29 +357,15 @@ impl Shell {
                     }
                 }
                 let s = self.world.telemetry().sessions().snapshot();
-                writeln!(
-                    out,
-                    "current={} peak={} attaches={} queue_depth_peak={} \
-                     coalesced_writes={} batch_flushes={}",
-                    s.sessions,
-                    s.sessions_peak,
-                    s.attaches,
-                    s.queue_depth_peak,
-                    s.coalesced_writes,
-                    s.flushed_batches
-                )
-                .expect("write to string");
+                writeln!(out, "{}", s.counter_line()).expect("write to string");
                 Ok(out)
             }
             "fleet" => {
                 let mut out = String::new();
-                let f = self.world.telemetry().fleet().snapshot();
                 writeln!(
                     out,
-                    "workers={}/{} shards={} live_tasks={}",
-                    f.workers,
+                    "worker_cap={} live_tasks={}",
                     self.world.fleet_workers(),
-                    f.shards,
                     self.world.fleet_task_count()
                 )
                 .expect("write to string");
@@ -393,41 +379,13 @@ impl Shell {
                         .expect("write to string");
                     }
                 }
-                writeln!(
-                    out,
-                    "spawned={} peak={} polls={} wakeups={} steals={} parks={} \
-                     queue_depth_peak={} pinned={} abandoned={}",
-                    f.spawned,
-                    f.sentinels_peak,
-                    f.polls,
-                    f.wakeups,
-                    f.steals,
-                    f.parks,
-                    f.queue_depth_peak,
-                    f.pinned,
-                    f.abandoned
-                )
-                .expect("write to string");
+                let f = self.world.telemetry().fleet().snapshot();
+                writeln!(out, "{}", f.counter_line()).expect("write to string");
                 Ok(out)
             }
             "cluster" => {
                 let c = self.world.telemetry().cluster().snapshot();
-                let mut out = String::new();
-                writeln!(out, "nodes={} rebalances={}", c.nodes, c.rebalances)
-                    .expect("write to string");
-                writeln!(
-                    out,
-                    "writes={} replications={} replication_failures={}",
-                    c.writes, c.replications, c.replication_failures
-                )
-                .expect("write to string");
-                writeln!(
-                    out,
-                    "reads={} failovers={} stale_waits={} stale_rejects={}",
-                    c.reads, c.read_failovers, c.stale_waits, c.stale_rejects
-                )
-                .expect("write to string");
-                Ok(out)
+                Ok(format!("{}\n", c.counter_line()))
             }
             "sentinels" => Ok(self.world.sentinels().names().join("\n") + "\n"),
             "services" => Ok(self.world.net().services().join("\n") + "\n"),
@@ -506,22 +464,7 @@ impl Shell {
         let net = self.world.net();
         let args: Vec<&str> = rest.split_whitespace().collect();
         if args.is_empty() {
-            let rel = net.reliability();
-            let mut out = String::new();
-            writeln!(
-                out,
-                "reliability: retries={} failovers={} breaker_trips={} \
-                 breaker_rejections={} degraded_reads={} queued_writes={} \
-                 replayed_writes={}",
-                rel.retries,
-                rel.failovers,
-                rel.breaker_trips,
-                rel.breaker_rejections,
-                rel.degraded_reads,
-                rel.queued_writes,
-                rel.replayed_writes,
-            )
-            .expect("write to string");
+            let mut out = format!("reliability: {}\n", net.reliability().counter_line());
             for (service, state) in net.breaker_states() {
                 writeln!(out, "breaker {service}: {state}").expect("write to string");
             }
@@ -758,19 +701,9 @@ impl Shell {
         }
         let stats = tel.sentinel_stats_snapshots();
         if !stats.is_empty() {
-            writeln!(
-                out,
-                "\n{:<14} {:>8} {:>7} {:>12} {:>12} {:>10}",
-                "sentinel", "ops", "errors", "bytes_in", "bytes_out", "queue_peak"
-            )
-            .expect("write to string");
+            out.push_str("\nper-sentinel accounting:\n");
             for (name, s) in stats {
-                writeln!(
-                    out,
-                    "{name:<14} {:>8} {:>7} {:>12} {:>12} {:>10}",
-                    s.ops, s.errors, s.bytes_in, s.bytes_out, s.queue_depth_peak,
-                )
-                .expect("write to string");
+                writeln!(out, "{name}: {}", s.counter_line()).expect("write to string");
             }
         }
         out

@@ -256,3 +256,184 @@ fn end_relative_seek_serialises_with_writes() {
     );
     api.close_handle(h).expect("close");
 }
+
+/// A cache-backed pass-through sentinel (the §2.2 null filter) whose
+/// open and close hooks are slow, as a sentinel that dials a remote peer
+/// would be. The delay widens the windows in which concurrent opens race
+/// a sentinel's construction and its terminal close.
+struct SlowHooks;
+
+impl activefiles::SentinelLogic for SlowHooks {
+    fn on_open(&mut self, _ctx: &mut activefiles::SentinelCtx) -> activefiles::SentinelResult<()> {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        Ok(())
+    }
+
+    fn read(
+        &mut self,
+        ctx: &mut activefiles::SentinelCtx,
+        offset: u64,
+        buf: &mut [u8],
+    ) -> activefiles::SentinelResult<usize> {
+        ctx.cache().read_at(offset, buf)
+    }
+
+    fn write(
+        &mut self,
+        ctx: &mut activefiles::SentinelCtx,
+        offset: u64,
+        data: &[u8],
+    ) -> activefiles::SentinelResult<usize> {
+        ctx.cache().write_at(offset, data)
+    }
+
+    fn on_close(&mut self, _ctx: &mut activefiles::SentinelCtx) -> activefiles::SentinelResult<()> {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        Ok(())
+    }
+}
+
+/// Concurrent opens of fresh shared `durable=on` files: for each file,
+/// every thread opens it at once, overwrites part of its own region, and
+/// closes, a few sessions in a row, flushing before every other close — so first opens race
+/// each other and reopens race terminal closes. Reopened in a fresh world
+/// over the same file system, every region must hold exactly what its
+/// writer committed. Two sentinels for one `(path, spec)` would each
+/// recover their own store over the same streams, and whichever persisted
+/// last would overwrite the other's commits — so the open path must never
+/// let two of them overlap.
+/// One session of [`run_concurrent_durable_opens`]: open, write `data`
+/// at `offset` in a few chunks, flush when asked (a close commits too),
+/// close.
+fn durable_session(
+    api: &afs_interpose::ApiHandle,
+    path: &str,
+    offset: usize,
+    data: &[u8],
+    flush: bool,
+) -> Result<(), Win32Error> {
+    let h = api.create_file(path, Access::read_write(), Disposition::OpenExisting)?;
+    let written = (|| {
+        api.set_file_pointer(h, offset as i64, SeekMethod::Begin)?;
+        for chunk in data.chunks(data.len().div_ceil(4)) {
+            api.write_file(h, chunk)?;
+        }
+        if flush {
+            api.flush_file_buffers(h)?;
+        }
+        Ok(())
+    })();
+    let closed = api.close_handle(h);
+    written.and(closed)
+}
+
+fn run_concurrent_durable_opens(strategy: Strategy) {
+    const WRITERS: usize = 4;
+    const REGION: usize = 1024;
+    const FILES: usize = 8;
+    const SESSIONS: usize = 4;
+    let path = |file: usize| format!("/durable-{file}.af");
+    let seed = test_seed();
+    let world = Arc::new(AfsWorld::new());
+    world
+        .sentinels()
+        .register("slow-hooks", |_| Box::new(SlowHooks));
+    for file in 0..FILES {
+        world
+            .install_active_file(
+                &path(file),
+                &SentinelSpec::new("slow-hooks", strategy)
+                    .backing(Backing::Disk)
+                    .with("durable", "on"),
+            )
+            .expect("install");
+    }
+    let barrier = Arc::new(std::sync::Barrier::new(WRITERS));
+    let joins: Vec<_> = (0..WRITERS)
+        .map(|id| {
+            let api = world.api();
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let _clock = clock::install(0);
+                let mut rng =
+                    SmallRng::seed_from_u64(seed.wrapping_mul(7919).wrapping_add(id as u64));
+                let mut shadows = vec![vec![0u8; REGION]; FILES];
+                let mut failures = Vec::new();
+                for (file, shadow) in shadows.iter_mut().enumerate() {
+                    barrier.wait();
+                    for session in 0..SESSIONS {
+                        // The first session fills the whole region, so
+                        // the file has no holes; later ones overwrite a
+                        // slice.
+                        let (start, len) = if session == 0 {
+                            (0, REGION)
+                        } else {
+                            let len = rng.gen_range(16..=256);
+                            (rng.gen_range(0..=REGION - len), len)
+                        };
+                        for byte in &mut shadow[start..start + len] {
+                            *byte = rng.gen_range(0..=255u8);
+                        }
+                        let data = &shadow[start..start + len];
+                        // Failures are collected, not raised: a panicking
+                        // writer would strand the others at the barrier.
+                        let flush = session % 2 == 0;
+                        if let Err(e) =
+                            durable_session(&api, &path(file), id * REGION + start, data, flush)
+                        {
+                            failures.push(format!("file {file} writer {id}: {e}"));
+                        }
+                    }
+                }
+                (shadows, failures)
+            })
+        })
+        .collect();
+    let mut shadows = Vec::new();
+    for join in joins {
+        let (writer, failures) = join.join().expect("writer thread");
+        assert!(failures.is_empty(), "{strategy:?}: {failures:?}");
+        shadows.push(writer);
+    }
+    let fresh = AfsWorld::builder().vfs(Arc::clone(world.vfs())).build();
+    fresh
+        .sentinels()
+        .register("slow-hooks", |_| Box::new(SlowHooks));
+    let api = fresh.api();
+    let _clock = clock::install(0);
+    for file in 0..FILES {
+        let h = api
+            .create_file(&path(file), Access::read_only(), Disposition::OpenExisting)
+            .expect("reopen");
+        let mut buf = vec![0u8; WRITERS * REGION + 1];
+        let n = api.read_file(h, &mut buf).expect("read back");
+        api.close_handle(h).expect("close");
+        assert_eq!(
+            n,
+            WRITERS * REGION,
+            "{strategy:?} file {file}: committed length"
+        );
+        for (id, writer) in shadows.iter().enumerate() {
+            assert!(
+                buf[id * REGION..(id + 1) * REGION] == writer[file][..],
+                "{strategy:?} file {file}: region of writer {id} lost committed writes \
+                 (seed {seed})"
+            );
+        }
+    }
+}
+
+#[test]
+fn concurrent_durable_opens_keep_every_commit_process_control() {
+    run_concurrent_durable_opens(Strategy::ProcessControl);
+}
+
+#[test]
+fn concurrent_durable_opens_keep_every_commit_dll_thread() {
+    run_concurrent_durable_opens(Strategy::DllThread);
+}
+
+#[test]
+fn concurrent_durable_opens_keep_every_commit_dll_only() {
+    run_concurrent_durable_opens(Strategy::DllOnly);
+}

@@ -198,6 +198,57 @@ fn exporters_emit_valid_non_empty_documents() {
     );
 }
 
+/// Every counter declared once in a counter set — the hub-wide sets, the
+/// reliability set, and the per-sentinel set — reaches both exporters
+/// exactly once, under its declared kind.
+#[test]
+fn every_declared_counter_is_exported_once() {
+    use activefiles::{Counter, CounterKind, CounterSet, SentinelStatsSnapshot};
+
+    // One active file, so exactly one sentinel exports its labelled set.
+    let (w, _) = world_with(Strategy::DllOnly);
+    let mut declared: Vec<Counter> = w.telemetry().counters();
+    declared.extend(w.net().reliability().counters());
+    declared.extend(SentinelStatsSnapshot::default().counters());
+    assert!(
+        declared.iter().any(|c| c.name == "afs_fleet_pinned_total"),
+        "the pinned-sentinel counter is declared"
+    );
+    let mut names: Vec<&str> = declared.iter().map(|c| c.name).collect();
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(names.len(), declared.len(), "metric names are unique");
+
+    let snapshot = w.metrics().snapshot();
+    let prom = prometheus_text(&snapshot);
+    let doc = afs_telemetry::json::parse(&json_snapshot(&snapshot)).expect("metrics JSON");
+    let exported = doc.as_object().expect("object")["metrics"]
+        .as_array()
+        .expect("metrics array");
+    for counter in &declared {
+        let lines = prom
+            .lines()
+            .filter(|l| {
+                l.strip_prefix(counter.name)
+                    .is_some_and(|rest| rest.starts_with(' ') || rest.starts_with('{'))
+            })
+            .count();
+        assert_eq!(lines, 1, "{} in the Prometheus text", counter.name);
+        let entries: Vec<_> = exported
+            .iter()
+            .filter_map(|m| m.as_object())
+            .filter(|m| m["name"].as_str() == Some(counter.name))
+            .collect();
+        assert_eq!(entries.len(), 1, "{} in the JSON snapshot", counter.name);
+        let kind = match counter.kind {
+            CounterKind::Counter => "counter",
+            CounterKind::Gauge => "gauge",
+        };
+        assert_eq!(entries[0]["type"].as_str(), Some(kind), "{}", counter.name);
+        assert!(!counter.help.is_empty(), "{} has help text", counter.name);
+    }
+}
+
 #[test]
 fn disabled_telemetry_records_nothing() {
     let (w, file) = world_with(Strategy::ProcessControl);
@@ -314,7 +365,7 @@ fn exported_span_trace_covers_the_interposition_chain() {
     // layers across the four-strategy sweep.
     let trace = afs_bench::span_trace(20, activefiles::HardwareProfile::pentium_ii_300());
     assert!(json_is_valid(&trace), "chrome trace parses: {trace}");
-    let root = afs_bench::gate::json::parse(&trace).expect("chrome trace JSON");
+    let root = afs_telemetry::json::parse(&trace).expect("chrome trace JSON");
     let events = root.as_array().expect("trace is an event array");
     let spans: Vec<_> = events
         .iter()
