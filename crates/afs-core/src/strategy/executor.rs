@@ -17,16 +17,21 @@
 //! carries its own [`SimTime`] across polls, installed on whichever worker
 //! polls it, so a sentinel's virtual timeline is identical to the one its
 //! dedicated thread would have produced.
+//!
+//! A worker that finds every shard empty may spin briefly before it parks
+//! (see [`Inner::spin_for_work`]): most wakes on the §4.2/§4.3 path follow
+//! the previous reply within microseconds, and a futex park/wake pair
+//! costs more than that. Spinning is wall-clock only and charges nothing.
 
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex};
 
-use afs_ipc::ChannelWaker;
+use afs_ipc::{handoff, ChannelWaker};
 use afs_sim::{clock, SimTime};
 use afs_telemetry::FleetGauges;
 
@@ -176,6 +181,16 @@ struct Inner {
     /// wait.
     idle: Mutex<()>,
     idle_cv: Condvar,
+    /// Tasks sitting in run queues, summed over shards. Updated under the
+    /// shard lock with each push and pop, so it never undercounts what a
+    /// worker could pop.
+    queued: AtomicUsize,
+    /// Set while the one designated worker spins for work before parking;
+    /// enqueuers skip the futex notify while it is set (see
+    /// [`Inner::spin_for_work`] for the handshake).
+    spinning: AtomicBool,
+    /// Workers currently parked on `idle_cv`.
+    parked: AtomicUsize,
     /// Pinned sentinel threads, joined at shutdown *after* the pool
     /// drains: a pooled task's close hook may still round-trip to a
     /// pinned sentinel it composed over.
@@ -215,6 +230,9 @@ impl SentinelExecutor {
                 workers: Mutex::new(Vec::new()),
                 idle: Mutex::new(()),
                 idle_cv: Condvar::new(),
+                queued: AtomicUsize::new(0),
+                spinning: AtomicBool::new(false),
+                parked: AtomicUsize::new(0),
                 pinned: Mutex::new(Vec::new()),
                 shutdown: AtomicBool::new(false),
                 next_id: AtomicU64::new(0),
@@ -232,6 +250,12 @@ impl SentinelExecutor {
     /// Live sentinel tasks currently registered.
     pub(crate) fn live(&self) -> u64 {
         self.inner.live.load(Ordering::Acquire)
+    }
+
+    /// Workers currently parked (not running, scanning, or spinning).
+    #[cfg(test)]
+    pub(crate) fn parked_workers(&self) -> usize {
+        self.inner.parked.load(Ordering::SeqCst)
     }
 
     /// Per-shard occupancy, for `afsh fleet`.
@@ -456,11 +480,67 @@ impl Inner {
         let depth = {
             let mut queue = shard.queue.lock();
             queue.push_back(task);
+            self.queued.fetch_add(1, Ordering::SeqCst);
             queue.len()
         };
         self.gauges.note_queue_depth(depth as u64);
+        // A spinning worker will see the task; `spin_for_work` explains
+        // why skipping the notify then cannot lose the wakeup.
+        if self.spinning.load(Ordering::SeqCst) {
+            return;
+        }
+        self.notify_one();
+    }
+
+    fn notify_one(&self) {
         let _guard = self.idle.lock();
         self.idle_cv.notify_one();
+    }
+
+    /// Pops the next task from `shard`, keeping `queued` in step.
+    fn pop(&self, shard: &Shard) -> Option<Arc<TaskHandle>> {
+        let mut queue = shard.queue.lock();
+        let task = queue.pop_front()?;
+        self.queued.fetch_sub(1, Ordering::SeqCst);
+        Some(task)
+    }
+
+    /// Spins for work for the handoff spin budget before a worker parks.
+    /// Returns `true` when a task was queued meanwhile (the worker rescans
+    /// instead of parking).
+    ///
+    /// Only one worker spins at a time (the `spinning` CAS); the others
+    /// park at once, so an idle pool burns at most one CPU, and only for
+    /// the budget. While the flag is set enqueuers skip the futex notify,
+    /// which is the point: the spinner picks the task up without a
+    /// park/wake pair. The skip cannot lose a wakeup. The enqueuer raises
+    /// `queued` and then loads `spinning`; the spinner clears `spinning`
+    /// and then reloads `queued`, all SeqCst. In the single total order
+    /// one of the two loads comes last and sees the other side's store:
+    /// either the enqueuer sees the flag clear and notifies, or the
+    /// spinner's reload sees the task and it rescans.
+    fn spin_for_work(&self) -> bool {
+        if self
+            .spinning
+            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+            .is_err()
+        {
+            return false;
+        }
+        handoff::spin_until(|| self.queued.load(Ordering::SeqCst) > 0);
+        self.spinning.store(false, Ordering::SeqCst);
+        let queued = self.queued.load(Ordering::SeqCst);
+        if queued == 0 {
+            self.gauges.spin_miss();
+            return false;
+        }
+        self.gauges.spin_hit();
+        if queued > 1 {
+            // Enqueues during the spin skipped their notify; hand the
+            // rest of the burst to a parked peer.
+            self.notify_one();
+        }
+        true
     }
 
     fn worker_loop(self: Arc<Inner>, index: usize) {
@@ -473,8 +553,7 @@ impl Inner {
             }
             let mut found = None;
             for offset in 0..shard_count {
-                let shard = &self.shards[(home + offset) % shard_count].0;
-                if let Some(task) = shard.queue.lock().pop_front() {
+                if let Some(task) = self.pop(&self.shards[(home + offset) % shard_count].0) {
                     if offset != 0 {
                         self.gauges.steal();
                     }
@@ -485,24 +564,23 @@ impl Inner {
             match found {
                 Some(task) => self.run(task),
                 None => {
+                    if self.spin_for_work() {
+                        continue;
+                    }
                     let mut guard = self.idle.lock();
                     if self.shutdown.load(Ordering::Acquire) {
                         return;
                     }
-                    if self.any_queued() {
+                    if self.queued.load(Ordering::SeqCst) > 0 {
                         continue;
                     }
                     self.gauges.park();
+                    self.parked.fetch_add(1, Ordering::SeqCst);
                     self.idle_cv.wait(&mut guard);
+                    self.parked.fetch_sub(1, Ordering::SeqCst);
                 }
             }
         }
-    }
-
-    fn any_queued(&self) -> bool {
-        self.shards
-            .iter()
-            .any(|shard| !shard.0.queue.lock().is_empty())
     }
 
     /// Polls `task` until its lane is drained, re-polling if a wake raced
@@ -761,6 +839,61 @@ mod tests {
         assert_eq!(snap.workers, 2);
         assert!(snap.sentinels_peak <= 64);
         assert_eq!(exec.shard_stats().iter().map(|s| s.live).sum::<usize>(), 0);
+    }
+
+    /// Busy-waits until `done` holds, failing the test after `limit`.
+    fn wait_for(limit: std::time::Duration, what: &str, done: impl Fn() -> bool) {
+        let start = std::time::Instant::now();
+        while !done() {
+            assert!(start.elapsed() < limit, "{what}: not within {limit:?}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// The notify-skip handshake loses no wakeup: each wake lands as the
+    /// idle spinner's budget runs out (the gap after the previous poll
+    /// sweeps from 3/4 to 5/4 of the budget), so some land just before
+    /// the spinner clears its flag and some just after. And an idle pool
+    /// ends with every worker parked: nobody spins past the budget.
+    #[test]
+    fn wakes_at_the_spin_deadline_are_never_lost() {
+        let limit = std::time::Duration::from_secs(10);
+        for workers in [1, 2] {
+            let gauges = Arc::new(FleetGauges::default());
+            let exec = SentinelExecutor::new(workers, Arc::clone(&gauges));
+            let fx = Fixture::new();
+            let mut slot = None;
+            let done = exec.spawn(|waker| {
+                slot = Some(waker);
+                fx.task(0)
+            });
+            let waker = slot.expect("waker");
+            let budget = handoff::spin_budget();
+            for cycle in 0..10_000usize {
+                let gap = budget.mul_f64(0.75 + 0.05 * (cycle % 11) as f64);
+                let idle = std::time::Instant::now();
+                while idle.elapsed() < gap {
+                    std::hint::spin_loop();
+                }
+                fx.ticks.fetch_add(1, Ordering::SeqCst);
+                waker();
+                wait_for(limit, "wake polled", || {
+                    fx.consumed.load(Ordering::SeqCst) > cycle
+                });
+            }
+            wait_for(limit, "every worker parked", || {
+                exec.parked_workers() == workers
+            });
+            let snap = gauges.snapshot();
+            assert!(snap.parks >= workers as u64);
+            if !budget.is_zero() {
+                assert!(snap.spin_hits + snap.spin_misses > 0);
+            }
+            fx.closed.store(true, Ordering::SeqCst);
+            waker();
+            done.wait();
+            assert_eq!(fx.consumed.load(Ordering::SeqCst), 10_000);
+        }
     }
 
     #[test]

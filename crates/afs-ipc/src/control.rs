@@ -18,7 +18,7 @@ use parking_lot::{Condvar, Mutex};
 
 use afs_sim::{clock, Cost, CostModel, SimTime};
 
-use crate::{IpcError, Result};
+use crate::{handoff, IpcError, Result};
 
 /// Callback installed by a poll-driven consumer; invoked whenever the
 /// channel transitions to "something to observe" (a new message, or the
@@ -192,7 +192,7 @@ impl<T: Send> ControlReceiver<T> {
         if inner.kind == ChannelKind::Kernel {
             inner.model.charge(Cost::Syscall);
         }
-        let mut state = inner.state.lock();
+        let mut state = handoff::lock_when(&inner.state, |s| !s.queue.is_empty() || s.senders == 0);
         loop {
             if let Some((msg, stamp)) = state.queue.pop_front() {
                 clock::sync_to(stamp);
@@ -289,6 +289,15 @@ mod tests {
         drop(tx);
         assert_eq!(rx.recv().expect("last message"), 1);
         assert_eq!(rx.recv(), Err(IpcError::Closed));
+    }
+
+    #[test]
+    fn last_sender_dropping_mid_spin_closes_recv() {
+        for _ in 0..200 {
+            let (tx, rx) = ControlChannel::new::<u8>(CostModel::free());
+            let got = crate::handoff::close_mid_spin(|| rx.recv(), || drop(tx));
+            assert_eq!(got, Err(IpcError::Closed));
+        }
     }
 
     #[test]

@@ -29,7 +29,9 @@
 //! submission/completion rings that cross the boundary once per *batch*
 //! instead of once per op, and [`pool::BufferPool`] recycles the staging
 //! buffers all of them use, so the hot path settles into a steady state
-//! with no per-operation allocation.
+//! with no per-operation allocation. Every blocking wait on the
+//! application↔sentinel path spins briefly before it parks
+//! ([`handoff`]), which is wall-clock only.
 //!
 //! All primitives work identically with or without a virtual clock
 //! installed, so the same code paths serve both the Figure 6 simulation and
@@ -38,6 +40,7 @@
 pub mod control;
 pub mod error;
 pub mod event;
+pub mod handoff;
 pub mod mux;
 pub mod pipe;
 pub mod pool;

@@ -31,7 +31,7 @@ use afs_sim::{clock, Cost, CostModel, CrossingKind, SimTime};
 use afs_telemetry::SessionGauges;
 
 use crate::pool::BufferPool;
-use crate::{IpcError, Result, Transport};
+use crate::{handoff, IpcError, Result, Transport};
 
 /// Writes staged per session before a forced flush; bounds both memory
 /// and the latency outlier of the flush-carrying operation.
@@ -349,7 +349,18 @@ where
                 return Err(IpcError::BrokenPipe);
             }
             if rs.pulling {
-                self.recv_ready.wait(&mut rs);
+                // Another waiter owns the wire: spin for its demux to
+                // finish (or to deliver our reply) before parking.
+                let settled = |rs: &RecvState<P>| {
+                    !rs.pulling
+                        || rs.dead
+                        || rs.mailboxes.get(&session).is_none_or(|m| !m.is_empty())
+                };
+                drop(rs);
+                rs = handoff::lock_when(&self.recv, settled);
+                if !settled(&rs) {
+                    self.recv_ready.wait(&mut rs);
+                }
                 continue;
             }
             rs.pulling = true;

@@ -29,7 +29,7 @@ use afs_sim::{clock, Cost, CostModel, CrossingKind, SimTime};
 use afs_telemetry::QueueGauges;
 
 use crate::pool::BufferPool;
-use crate::{IpcError, Result};
+use crate::{handoff, IpcError, Result};
 
 /// Default pipe capacity, matching the small in-kernel buffer of NT
 /// anonymous pipes.
@@ -280,7 +280,8 @@ impl PipeReader {
         if buf.is_empty() {
             return Ok(0);
         }
-        let mut state = inner.state.lock();
+        let mut state =
+            handoff::lock_when(&inner.state, |s| !s.segments.is_empty() || s.writers == 0);
         while state.segments.is_empty() {
             if state.writers == 0 {
                 return Ok(0);
@@ -405,6 +406,16 @@ mod tests {
         assert_eq!(r.read(&mut buf).expect("read"), 1);
         assert_eq!(r.read(&mut buf).expect("read"), 0);
         assert_eq!(r.read(&mut buf).expect("read"), 0);
+    }
+
+    #[test]
+    fn last_writer_dropping_mid_spin_is_eof() {
+        for _ in 0..200 {
+            let (w, r) = Pipe::anonymous(CostModel::free(), CrossingKind::InterProcess);
+            let mut buf = [0u8; 8];
+            let got = crate::handoff::close_mid_spin(|| r.read(&mut buf), || drop(w));
+            assert_eq!(got, Ok(0));
+        }
     }
 
     #[test]

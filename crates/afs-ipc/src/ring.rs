@@ -40,7 +40,7 @@ use afs_sim::{clock, Cost, CostModel, CrossingKind, SimTime};
 use afs_telemetry::RingGauges;
 
 use crate::control::ChannelWaker;
-use crate::{IpcError, Result};
+use crate::{handoff, IpcError, Result};
 
 /// One submission-ring entry: a typed command plus its optional payload
 /// bytes (a write's data rides its entry, so the whole batch lands in one
@@ -277,7 +277,9 @@ impl<C: Send, R: Send> RingTransport<C, R> {
     /// [`IpcError::Closed`] if the sentinel dies before posting `id`.
     pub fn complete(&self, id: u64) -> Result<Cqe<R>> {
         let inner = &*self.inner;
-        let mut state = inner.state.lock();
+        let mut state = handoff::lock_when(&inner.state, |s| {
+            s.cq.contains_key(&id) || !s.sentinel_alive
+        });
         loop {
             if let Some((cqe, stamp)) = state.cq.remove(&id) {
                 clock::sync_to(stamp);

@@ -23,7 +23,7 @@ use afs_sim::{clock, Cost, CostModel, SimTime};
 use afs_telemetry::QueueGauges;
 
 use crate::pool::BufferPool;
-use crate::{IpcError, Result};
+use crate::{handoff, IpcError, Result};
 
 #[derive(Debug)]
 struct State {
@@ -128,7 +128,7 @@ impl SharedBuffer {
     /// Returns [`IpcError::Closed`] if the buffer is closed and empty.
     pub fn recv_into(&self, buf: &mut [u8]) -> Result<usize> {
         let inner = &*self.inner;
-        let mut state = inner.state.lock();
+        let mut state = handoff::lock_when(&inner.state, |s| s.slot.is_some() || s.closed);
         loop {
             if let Some((data, stamp)) = state.slot.take() {
                 clock::sync_to(stamp);
@@ -259,6 +259,17 @@ mod tests {
         b.close();
         assert_eq!(t.join().expect("join"), Err(IpcError::Closed));
         assert_eq!(b.send(b"x"), Err(IpcError::Closed));
+    }
+
+    #[test]
+    fn close_mid_spin_fails_recv_with_closed() {
+        for _ in 0..200 {
+            let b = SharedBuffer::new(CostModel::free());
+            let rx = b.clone();
+            let mut buf = [0u8; 8];
+            let got = crate::handoff::close_mid_spin(|| rx.recv_into(&mut buf), || b.close());
+            assert_eq!(got, Err(IpcError::Closed));
+        }
     }
 
     #[test]

@@ -169,6 +169,11 @@ crate::counter_set! {
         wakeups: Counter "afs_fleet_wakeups_total",
         /// Times a worker parked with every shard queue empty.
         parks: Counter "afs_fleet_parks_total",
+        /// Idle spins before a park that saw a task queued (a park/wake
+        /// pair saved).
+        spin_hits: Counter "afs_fleet_spin_hits_total",
+        /// Idle spins that ran out their budget and parked anyway.
+        spin_misses: Counter "afs_fleet_spin_misses_total",
         /// Deepest run queue any single shard has seen.
         queue_depth_peak: Gauge "afs_fleet_queue_depth_peak",
         /// Live worker threads (0 before first spawn and after shutdown).
@@ -231,6 +236,16 @@ impl FleetGauges {
     /// Records a worker parking because every shard queue was empty.
     pub fn park(&self) {
         self.parks.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records an idle worker's spin that found a task before parking.
+    pub fn spin_hit(&self) {
+        self.spin_hits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records an idle worker's spin that ran out its budget.
+    pub fn spin_miss(&self) {
+        self.spin_misses.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records the run-queue depth of one shard at enqueue time.
