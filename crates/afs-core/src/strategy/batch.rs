@@ -20,9 +20,9 @@
 //!   entry, flushing staged writes ahead of itself in the same crossing.
 //!
 //! The sentinel side ([`RingDispatchTask`]) drains the ring in
-//! submission order through the shared [`execute_op`] and completes
-//! out of order through the completion index, so batched and unbatched
-//! execution stay transcript-equivalent: every application-visible
+//! submission order through the shared [`SentinelCore::serve`] and
+//! completes out of order through the completion index, so batched and
+//! unbatched execution stay transcript-equivalent: every application-visible
 //! result — data bytes, error codes, write-behind error surfacing via
 //! the sticky slot — is the same either way. Speculative reads assume
 //! read-idempotent sentinel logic (see docs/BATCHING.md), which is why
@@ -36,16 +36,15 @@ use parking_lot::Mutex;
 
 use afs_ipc::{BufferPool, Cqe, IpcError, RingPair, RingPort, RingTransport, Sqe, Transport};
 use afs_sim::{CostModel, CrossingKind, OpTrace};
-use afs_telemetry::{Layer, RingGauges, SpanScope, Telemetry};
+use afs_telemetry::{Layer, RingGauges, Telemetry};
 use afs_winapi::Win32Error;
 
 use crate::ctx::SentinelCtx;
-use crate::logic::{SentinelError, SentinelLogic};
+use crate::logic::SentinelLogic;
 use crate::strategy::executor::{SentinelPoll, TaskPoll};
 use crate::strategy::handle::StrategyHandle;
 use crate::strategy::{
-    execute_op, op_name, take_sticky_preemption, to_win32, ActiveOps, Instruments, Op, OpReply,
-    Reaper, SentinelSide,
+    to_win32, ActiveOps, Instruments, Op, OpReply, Reaper, SentinelCore, Session,
 };
 
 /// Builds the batched variant of the DLL-with-thread strategy (§4.3
@@ -90,23 +89,21 @@ fn open_over(
     port: RingPort<Op, OpReply>,
 ) -> Result<Arc<dyn ActiveOps>, Win32Error> {
     logic.on_open(&mut ctx).map_err(|e| to_win32(&e))?;
-    let sticky = Arc::new(Mutex::new(None));
-    let sentinel_sticky = Arc::clone(&sticky);
-    let scope = Arc::new(SpanScope::default());
-    let side = instr.sentinel_side(strategy, Arc::clone(&scope));
+    let (session, scope) = instr.session(strategy);
+    let sticky = Arc::clone(&session.sticky);
     // The driver watches the ctx's heal generation: a queued-write replay
     // on the sentinel side bumps it, and the driver retires its
     // speculative-cache epoch in response (see `sync_heal_generation`).
     let heal_gen = ctx.heal_generation();
+    let pool = Arc::new(BufferPool::observed(Arc::clone(instr.tel.gauges())));
+    let core = SentinelCore::new(logic, ctx, pool);
     let done = instr.spawn_task(move |waker| {
         port.set_wakeup(waker);
-        Box::new(RingDispatchTask::new(
-            logic,
-            ctx,
+        Box::new(RingDispatchTask {
+            core,
             port,
-            sentinel_sticky,
-            side,
-        ))
+            session,
+        })
     });
     let driver = RingDriver::new(
         ring,
@@ -443,104 +440,38 @@ impl Transport for RingDriver {
     }
 }
 
-/// The sentinel side of a batched wiring: [`DispatchTask`]'s protocol —
-/// sticky write-behind failures, shared [`execute_op`] semantics, stats
-/// and spans — draining a [`RingPort`] instead of a
+/// The sentinel side of a batched wiring: the wire I/O of a
+/// [`DispatchTask`], draining a [`RingPort`] instead of a
 /// [`PairPort`](afs_ipc::PairPort) and completing through the index.
 ///
 /// [`DispatchTask`]: crate::strategy::DispatchTask
-pub(crate) struct RingDispatchTask {
-    logic: Box<dyn SentinelLogic>,
-    ctx: SentinelCtx,
+struct RingDispatchTask {
+    core: SentinelCore,
     port: RingPort<Op, OpReply>,
-    pool: BufferPool,
-    sticky: Arc<Mutex<Option<SentinelError>>>,
-    side: SentinelSide,
+    session: Session,
 }
 
 impl RingDispatchTask {
-    pub(crate) fn new(
-        logic: Box<dyn SentinelLogic>,
-        ctx: SentinelCtx,
-        port: RingPort<Op, OpReply>,
-        sticky: Arc<Mutex<Option<SentinelError>>>,
-        side: SentinelSide,
-    ) -> RingDispatchTask {
-        RingDispatchTask {
-            logic,
-            ctx,
-            port,
-            pool: BufferPool::new(),
-            sticky,
-            side,
-        }
-    }
-
     /// Serves one submission; `Ready` when the sentinel should terminate.
+    /// Submissions are drained in order and staged writes precede the
+    /// demand op in every batch, so a parked write-behind failure
+    /// pre-empts the op the unbatched wiring would have failed. Writes
+    /// post no completion, same as the unbatched loop's silence.
     fn serve(&mut self, sqe: Sqe<Op>) -> TaskPoll {
-        // Same rule as the unbatched dispatch loop: a parked write-behind
-        // failure pre-empts the next synchronous command. Submissions are
-        // drained in order and staged writes precede the demand op in
-        // every batch, so the pre-emption lands on the op the unbatched
-        // wiring would have failed.
-        if let Some(e) = take_sticky_preemption(&self.sticky, &sqe.cmd) {
-            return match self.port.post(Cqe {
-                id: sqe.id,
-                reply: OpReply::Failed(e),
-                data: None,
-            }) {
-                Ok(()) => TaskPoll::Pending,
-                Err(_) => TaskPoll::Ready,
-            };
-        }
-        let (logic, ctx) = (self.logic.as_mut(), &mut self.ctx);
-        match sqe.cmd {
-            Op::Write { offset, len } => {
-                let payload = sqe.payload.unwrap_or_default();
-                let (reply, _) = self.side.observe("write", || {
-                    execute_op(logic, ctx, Op::Write { offset, len }, &payload, &self.pool)
-                });
-                let failed = matches!(reply, OpReply::Failed(_));
-                self.side.stats().op(u64::from(len), 0, failed);
-                if let OpReply::Failed(e) = reply {
-                    *self.sticky.lock() = Some(e);
-                }
-                // Writes are acknowledged eagerly (write-behind): no
-                // completion entry, same as the unbatched loop's silence.
-                TaskPoll::Pending
-            }
-            Op::Close => {
-                let (reply, _) = self.side.observe("close", || {
-                    execute_op(logic, ctx, Op::Close, &[], &self.pool)
-                });
-                self.side
-                    .stats()
-                    .op(0, 0, matches!(reply, OpReply::Failed(_)));
-                let _ = self.port.post(Cqe {
-                    id: sqe.id,
-                    reply,
-                    data: None,
-                });
-                TaskPoll::Ready
-            }
-            cmd => {
-                let name = op_name(&cmd);
-                let (reply, data) = self
-                    .side
-                    .observe(name, || execute_op(logic, ctx, cmd, &[], &self.pool));
-                let bytes_out = data.as_ref().map_or(0, |d| d.len() as u64);
-                self.side
-                    .stats()
-                    .op(0, bytes_out, matches!(reply, OpReply::Failed(_)));
-                match self.port.post(Cqe {
-                    id: sqe.id,
-                    reply,
-                    data,
-                }) {
-                    Ok(()) => TaskPoll::Pending,
-                    Err(_) => TaskPoll::Ready,
-                }
-            }
+        let closing = matches!(sqe.cmd, Op::Close);
+        let payload = sqe.payload.unwrap_or_default();
+        let Some((reply, data)) = self.core.serve(&self.session, sqe.cmd, &payload) else {
+            return TaskPoll::Pending;
+        };
+        let posted = self.port.post(Cqe {
+            id: sqe.id,
+            reply,
+            data,
+        });
+        if closing || posted.is_err() {
+            TaskPoll::Ready
+        } else {
+            TaskPoll::Pending
         }
     }
 }
@@ -552,14 +483,11 @@ impl SentinelPoll for RingDispatchTask {
             let sqe = match self.port.poll_sqe() {
                 Ok(Some(sqe)) => sqe,
                 Ok(None) => {
-                    self.side.stats().note_queue_depth(drained);
+                    self.session.side.stats().note_queue_depth(drained);
                     return TaskPoll::Pending;
                 }
-                // The application vanished without Close; still run the
-                // close hook.
                 Err(_) => {
-                    let _ = self.logic.on_close(&mut self.ctx);
-                    self.ctx.persist_cache();
+                    self.core.abandon();
                     return TaskPoll::Ready;
                 }
             };
@@ -571,7 +499,6 @@ impl SentinelPoll for RingDispatchTask {
     }
 
     fn abandon(&mut self) {
-        let _ = self.logic.on_close(&mut self.ctx);
-        self.ctx.persist_cache();
+        self.core.abandon();
     }
 }

@@ -6,26 +6,22 @@
 //! 'read 50' command is sent to the sentinel, and then 50 bytes are read
 //! from the read pipe."
 //!
-//! The wiring is [`PairTransport::kernel`]: kernel control channels plus
-//! two anonymous pipes across the process boundary, driven by the same
-//! [`StrategyHandle`] as every other strategy — the DLL-with-thread
+//! The wiring is [`PairTransport::kernel`](afs_ipc::PairTransport::kernel):
+//! kernel control channels plus two anonymous pipes across the process
+//! boundary, driven by the same
+//! [`StrategyHandle`](super::handle::StrategyHandle) as every other strategy — the DLL-with-thread
 //! strategy (§4.3) plugs in shared-memory transports instead, which is
 //! precisely the paper's point that the strategies trade copies and
 //! crossings, not semantics.
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use afs_ipc::PairTransport;
 use afs_sim::{CostModel, OpTrace};
-use afs_telemetry::SpanScope;
 use afs_winapi::Win32Error;
 
 use crate::ctx::SentinelCtx;
 use crate::logic::SentinelLogic;
-use crate::strategy::handle::StrategyHandle;
-use crate::strategy::{to_win32, ActiveOps, DispatchTask, Instruments, Op, OpReply, Reaper};
+use crate::strategy::{open_private_wire, ActiveOps, Instruments};
 
 /// Builds the process-plus-control strategy for one open: runs the open
 /// hook, registers the sentinel "process" as a dispatch task on the
@@ -34,44 +30,15 @@ use crate::strategy::{to_win32, ActiveOps, DispatchTask, Instruments, Op, OpRepl
 /// boundary is wired as a submission/completion ring instead — one
 /// kernel doorbell per batch (see [`crate::strategy::batch`]).
 pub(crate) fn open(
-    mut logic: Box<dyn SentinelLogic>,
-    mut ctx: SentinelCtx,
+    logic: Box<dyn SentinelLogic>,
+    ctx: SentinelCtx,
     model: CostModel,
     trace: Arc<OpTrace>,
     instr: Instruments,
     batch: Option<usize>,
 ) -> Result<Arc<dyn ActiveOps>, Win32Error> {
-    if let Some(depth) = batch {
-        return crate::strategy::batch::open_kernel(logic, ctx, model, trace, instr, depth);
+    match batch {
+        Some(depth) => crate::strategy::batch::open_kernel(logic, ctx, model, trace, instr, depth),
+        None => open_private_wire("Process", true, logic, ctx, model, trace, instr),
     }
-    logic.on_open(&mut ctx).map_err(|e| to_win32(&e))?;
-    let (transport, port) = PairTransport::<Op, OpReply>::kernel_observed(
-        model.clone(),
-        Arc::clone(instr.tel.gauges()),
-    );
-    let sticky = Arc::new(Mutex::new(None));
-    let sentinel_sticky = Arc::clone(&sticky);
-    let scope = Arc::new(SpanScope::default());
-    let side = instr.sentinel_side("Process", Arc::clone(&scope));
-    let writes = instr.writes.clone();
-    let done = instr.spawn_task(move |waker| {
-        port.set_wakeup(waker);
-        Box::new(DispatchTask::new(
-            logic,
-            ctx,
-            port,
-            sentinel_sticky,
-            side,
-            writes,
-        ))
-    });
-    Ok(Arc::new(StrategyHandle::new(
-        transport,
-        model,
-        trace,
-        "Process",
-        sticky,
-        Some(Reaper::Task(done)),
-        instr.app_side(scope),
-    )))
 }

@@ -9,11 +9,16 @@
 //! the logic itself does.
 //!
 //! Rather than a bespoke handle, the strategy implements the
-//! [`Transport`] protocol *inline*: [`InlineTransport`] runs each command
-//! through the same [`execute_op`] the dispatch loop uses, at the moment
-//! the shared [`StrategyHandle`](super::handle::StrategyHandle) "sends"
-//! it. Its [`CrossingKind::None`] boundary makes the handle charge zero
+//! [`Transport`] protocol *inline*: each [`InlineSession`] serves a
+//! command through the same [`SentinelCore::serve`] every other dispatch
+//! path uses, at the moment the shared
+//! [`StrategyHandle`](super::handle::StrategyHandle) "sends" it. Its
+//! [`CrossingKind::None`] boundary makes the handle charge zero
 //! crossings, so the §4.4 cost profile falls out of the wiring.
+//!
+//! One [`InlineShared`] core serves every session of a file. A private
+//! (`share=off`) open is a core with exactly one session, built without
+//! session gauges so it never counts as an attach.
 
 use std::sync::{Arc, Weak};
 
@@ -21,202 +26,44 @@ use parking_lot::Mutex;
 
 use afs_ipc::{BufferPool, IpcError, Transport};
 use afs_sim::{CostModel, CrossingKind, OpTrace};
-use afs_telemetry::{SessionGauges, SpanScope};
+use afs_telemetry::SessionGauges;
 use afs_winapi::Win32Error;
 
 use crate::ctx::SentinelCtx;
-use crate::logic::{SentinelError, SentinelLogic};
+use crate::logic::SentinelLogic;
 use crate::strategy::executor::TaskDone;
 use crate::strategy::handle::StrategyHandle;
 use crate::strategy::mux::SharedSentinel;
-use crate::strategy::{
-    execute_op, op_name, to_win32, ActiveOps, Instruments, Op, OpReply, SentinelSide,
-};
+use crate::strategy::{to_win32, ActiveOps, Instruments, Op, OpReply, SentinelCore, Session};
 
-struct InlineState {
-    logic: Box<dyn SentinelLogic>,
-    ctx: SentinelCtx,
-    /// A `Write` command waiting for its payload (the protocol sends the
-    /// command first, then the bytes).
-    pending_write: Option<Op>,
-    reply: Option<OpReply>,
-    outbound: Vec<u8>,
-    outbound_pos: usize,
-    closed: bool,
-}
-
-/// The §4.4 "wiring": no boundary at all. Commands execute on the calling
-/// thread inside `send_cmd`/`send_data`; replies and read data are handed
-/// straight back from per-handle staging.
-pub(crate) struct InlineTransport {
-    state: Mutex<InlineState>,
-    /// Shared with the handle: write failures park here, exactly like the
-    /// dispatch loop's write-behind semantics.
-    sticky: Arc<Mutex<Option<SentinelError>>>,
-    pool: BufferPool,
-    /// Sentinel-side telemetry; the inline sentinel's spans nest under the
-    /// calling thread's open transport span.
-    side: SentinelSide,
-}
-
-impl InlineTransport {
-    fn run(&self, state: &mut InlineState, op: Op, payload: &[u8]) {
-        let name = op_name(&op);
-        let InlineState { logic, ctx, .. } = state;
-        let (reply, data) = self.side.observe_inline(name, || {
-            execute_op(logic.as_mut(), ctx, op, payload, &self.pool)
-        });
-        state.reply = Some(reply);
-        let drained = std::mem::replace(&mut state.outbound, data.unwrap_or_default());
-        state.outbound_pos = 0;
-        self.pool.put(drained);
-    }
-}
-
-impl Transport for InlineTransport {
-    type Cmd = Op;
-    type Reply = OpReply;
-
-    fn crossing(&self) -> CrossingKind {
-        CrossingKind::None
-    }
-
-    fn supports_control(&self) -> bool {
-        true
-    }
-
-    fn send_cmd(&self, op: Op) -> Result<(), IpcError> {
-        let mut state = self.state.lock();
-        if state.closed {
-            return Err(IpcError::Closed);
-        }
-        match op {
-            Op::Write { len, .. } if len > 0 => {
-                state.pending_write = Some(op);
-            }
-            Op::Write { .. } => {
-                // Zero-length write: no payload will follow; run it now.
-                let InlineState { logic, ctx, .. } = &mut *state;
-                let (reply, _) = self.side.observe_inline("write", || {
-                    execute_op(logic.as_mut(), ctx, op, &[], &self.pool)
-                });
-                if let OpReply::Failed(e) = reply {
-                    *self.sticky.lock() = Some(e);
-                }
-            }
-            Op::Close => {
-                self.run(&mut state, op, &[]);
-                state.closed = true;
-            }
-            other => self.run(&mut state, other, &[]),
-        }
-        Ok(())
-    }
-
-    fn recv_reply(&self) -> Result<OpReply, IpcError> {
-        self.state.lock().reply.take().ok_or(IpcError::Closed)
-    }
-
-    fn send_data(&self, data: &[u8]) -> Result<(), IpcError> {
-        let mut state = self.state.lock();
-        let Some(op) = state.pending_write.take() else {
-            return Err(IpcError::BrokenPipe);
-        };
-        let InlineState { logic, ctx, .. } = &mut *state;
-        let (reply, _) = self.side.observe_inline("write", || {
-            execute_op(logic.as_mut(), ctx, op, data, &self.pool)
-        });
-        if let OpReply::Failed(e) = reply {
-            *self.sticky.lock() = Some(e);
-        }
-        Ok(())
-    }
-
-    fn recv_data(&self, buf: &mut [u8]) -> Result<usize, IpcError> {
-        self.recv_data_exact(buf)
-    }
-
-    fn recv_data_exact(&self, buf: &mut [u8]) -> Result<usize, IpcError> {
-        let mut state = self.state.lock();
-        let available = state.outbound.len() - state.outbound_pos;
-        let take = buf.len().min(available);
-        let from = state.outbound_pos;
-        buf[..take].copy_from_slice(&state.outbound[from..from + take]);
-        state.outbound_pos += take;
-        if state.outbound_pos >= state.outbound.len() {
-            let drained = std::mem::take(&mut state.outbound);
-            state.outbound_pos = 0;
-            self.pool.put(drained);
-        }
-        Ok(take)
-    }
-
-    fn shutdown(&self) {}
-}
-
-/// Builds the DLL-only strategy for one open.
-pub(crate) fn open(
-    mut logic: Box<dyn SentinelLogic>,
-    mut ctx: SentinelCtx,
-    model: CostModel,
-    trace: Arc<OpTrace>,
-    instr: Instruments,
-) -> Result<Arc<dyn ActiveOps>, Win32Error> {
-    logic.on_open(&mut ctx).map_err(|e| to_win32(&e))?;
-    let sticky = Arc::new(Mutex::new(None));
-    let scope = Arc::new(SpanScope::default());
-    let transport = InlineTransport {
-        state: Mutex::new(InlineState {
-            logic,
-            ctx,
-            pending_write: None,
-            reply: None,
-            outbound: Vec::new(),
-            outbound_pos: 0,
-            closed: false,
-        }),
-        sticky: Arc::clone(&sticky),
-        pool: BufferPool::observed(Arc::clone(instr.tel.gauges())),
-        side: instr.sentinel_side("DLL", Arc::clone(&scope)),
-    };
-    Ok(Arc::new(StrategyHandle::new(
-        transport,
-        model,
-        trace,
-        "DLL",
-        sticky,
-        None,
-        instr.app_side(scope),
-    )))
-}
-
-/// The sentinel logic and context shared by every session of one shared
-/// DLL-only sentinel. All execution serialises on this lock — the §4.4
-/// analogue of the wire strategies' single dispatch loop.
+/// The sentinel core shared by every session of one DLL-only sentinel.
+/// All execution serialises on this lock — the §4.4 analogue of the wire
+/// strategies' single dispatch loop.
 struct InlineCore {
-    logic: Box<dyn SentinelLogic>,
-    ctx: SentinelCtx,
+    core: SentinelCore,
     live: usize,
     closed: bool,
 }
 
-/// The shared form of §4.4: one logic/context pair, many sessions calling
-/// into it inline. Per-session state (staged reply bytes, the parked
-/// write, the sticky error) lives in each [`InlineSession`], so sessions
-/// are indistinguishable from private opens at the handle layer.
+/// The §4.4 sentinel: one core, one or more sessions calling into it
+/// inline. Per-session state (staged reply bytes, the parked write, the
+/// sticky error) lives in each [`InlineSession`].
 pub(crate) struct InlineShared {
     core: Mutex<InlineCore>,
-    pool: BufferPool,
+    pool: Arc<BufferPool>,
     model: CostModel,
     trace: Arc<OpTrace>,
     instr: Instruments,
-    gauges: Arc<SessionGauges>,
+    /// `None` for a private open, which is not an attach.
+    gauges: Option<Arc<SessionGauges>>,
     weak_self: Weak<InlineShared>,
 }
 
-/// Per-session staging, mirroring the private [`InlineState`] fields that
-/// are per-open rather than per-sentinel.
-struct SessionStaging {
+/// What one session's handle receives next: the `Write` waiting for its
+/// payload (the protocol sends the command first, then the bytes), the
+/// reply, and the read bytes still to drain.
+#[derive(Default)]
+struct Staging {
     pending_write: Option<Op>,
     reply: Option<OpReply>,
     outbound: Vec<u8>,
@@ -226,36 +73,44 @@ struct SessionStaging {
 /// One session's inline transport over the shared core.
 struct InlineSession {
     shared: Arc<InlineShared>,
-    staging: Mutex<SessionStaging>,
-    sticky: Arc<Mutex<Option<SentinelError>>>,
-    side: SentinelSide,
+    staging: Mutex<Staging>,
+    session: Session,
 }
 
 impl InlineSession {
-    fn run(&self, op: Op, payload: &[u8]) {
-        let name = op_name(&op);
+    /// Serves `op` under the core lock — failing once the sentinel has
+    /// terminally closed — and stages whatever it owes the handle.
+    fn serve(&self, op: Op, payload: &[u8]) -> Result<(), IpcError> {
         let mut core = self.shared.core.lock();
-        let InlineCore { logic, ctx, .. } = &mut *core;
-        let (reply, data) = self.side.observe_inline(name, || {
-            execute_op(logic.as_mut(), ctx, op, payload, &self.shared.pool)
-        });
-        drop(core);
-        let mut staging = self.staging.lock();
-        staging.reply = Some(reply);
-        let drained = std::mem::replace(&mut staging.outbound, data.unwrap_or_default());
-        staging.outbound_pos = 0;
-        self.shared.pool.put(drained);
-    }
-
-    fn run_write(&self, op: Op, payload: &[u8]) {
-        let mut core = self.shared.core.lock();
-        let InlineCore { logic, ctx, .. } = &mut *core;
-        let (reply, _) = self.side.observe_inline("write", || {
-            execute_op(logic.as_mut(), ctx, op, payload, &self.shared.pool)
-        });
-        if let OpReply::Failed(e) = reply {
-            *self.sticky.lock() = Some(e);
+        if core.closed {
+            return Err(IpcError::Closed);
         }
+        let served = if matches!(op, Op::Close) {
+            core.live -= 1;
+            if let Some(gauges) = &self.shared.gauges {
+                gauges.detached();
+            }
+            if core.live > 0 {
+                // The sentinel stays up for the other sessions; this
+                // session's close is acknowledged locally.
+                Some((OpReply::Done, None))
+            } else {
+                // Last session out runs the real close hook.
+                core.closed = true;
+                core.core.serve(&self.session, op, payload)
+            }
+        } else {
+            core.core.serve(&self.session, op, payload)
+        };
+        drop(core);
+        if let Some((reply, data)) = served {
+            let mut staging = self.staging.lock();
+            staging.reply = Some(reply);
+            let drained = std::mem::replace(&mut staging.outbound, data.unwrap_or_default());
+            staging.outbound_pos = 0;
+            self.shared.pool.put(drained);
+        }
+        Ok(())
     }
 }
 
@@ -272,37 +127,13 @@ impl Transport for InlineSession {
     }
 
     fn send_cmd(&self, op: Op) -> Result<(), IpcError> {
-        if self.shared.core.lock().closed {
-            return Err(IpcError::Closed);
-        }
         match op {
             Op::Write { len, .. } if len > 0 => {
                 self.staging.lock().pending_write = Some(op);
+                Ok(())
             }
-            Op::Write { .. } => self.run_write(op, &[]),
-            Op::Close => {
-                let mut core = self.shared.core.lock();
-                core.live -= 1;
-                self.shared.gauges.detached();
-                if core.live == 0 {
-                    // Last session out runs the real close hook.
-                    let InlineCore { logic, ctx, .. } = &mut *core;
-                    let (reply, _) = self.side.observe_inline("close", || {
-                        execute_op(logic.as_mut(), ctx, Op::Close, &[], &self.shared.pool)
-                    });
-                    core.closed = true;
-                    drop(core);
-                    self.staging.lock().reply = Some(reply);
-                } else {
-                    // The sentinel stays up for the other sessions; this
-                    // session's close is acknowledged locally.
-                    drop(core);
-                    self.staging.lock().reply = Some(OpReply::Done);
-                }
-            }
-            other => self.run(other, &[]),
+            op => self.serve(op, &[]),
         }
-        Ok(())
     }
 
     fn recv_reply(&self) -> Result<OpReply, IpcError> {
@@ -313,8 +144,7 @@ impl Transport for InlineSession {
         let Some(op) = self.staging.lock().pending_write.take() else {
             return Err(IpcError::BrokenPipe);
         };
-        self.run_write(op, data);
-        Ok(())
+        self.serve(op, data)
     }
 
     fn recv_data(&self, buf: &mut [u8]) -> Result<usize, IpcError> {
@@ -348,23 +178,20 @@ impl SharedSentinel for InlineShared {
                 return None;
             }
             core.live += 1;
-            self.gauges.attached(core.live as u64);
+            if let Some(gauges) = &self.gauges {
+                gauges.attached(core.live as u64);
+            }
         }
-        let sticky = Arc::new(Mutex::new(None));
-        let scope = Arc::new(SpanScope::default());
-        let session = InlineSession {
+        let (mut session, scope) = self.instr.session("DLL");
+        session.side = session.side.inline();
+        let sticky = Arc::clone(&session.sticky);
+        let transport = InlineSession {
             shared: me,
-            staging: Mutex::new(SessionStaging {
-                pending_write: None,
-                reply: None,
-                outbound: Vec::new(),
-                outbound_pos: 0,
-            }),
-            sticky: Arc::clone(&sticky),
-            side: self.instr.sentinel_side("DLL", Arc::clone(&scope)),
+            staging: Mutex::default(),
+            session,
         };
         Some(Arc::new(StrategyHandle::new(
-            session,
+            transport,
             self.model.clone(),
             Arc::clone(&self.trace),
             "DLL",
@@ -388,19 +215,43 @@ impl SharedSentinel for InlineShared {
 /// Builds the shared DLL-only sentinel: runs the open hook once and
 /// returns the [`SharedSentinel`] later opens attach through.
 pub(crate) fn open_shared(
+    logic: Box<dyn SentinelLogic>,
+    ctx: SentinelCtx,
+    model: CostModel,
+    trace: Arc<OpTrace>,
+    instr: Instruments,
+) -> Result<Arc<InlineShared>, Win32Error> {
+    let gauges = Arc::clone(instr.tel.sessions());
+    build(logic, ctx, model, trace, instr, Some(gauges))
+}
+
+/// Builds a private DLL-only open: a sentinel with one session.
+pub(crate) fn open(
+    logic: Box<dyn SentinelLogic>,
+    ctx: SentinelCtx,
+    model: CostModel,
+    trace: Arc<OpTrace>,
+    instr: Instruments,
+) -> Result<Arc<dyn ActiveOps>, Win32Error> {
+    build(logic, ctx, model, trace, instr, None)?
+        .attach()
+        .ok_or(Win32Error::BrokenPipe)
+}
+
+fn build(
     mut logic: Box<dyn SentinelLogic>,
     mut ctx: SentinelCtx,
     model: CostModel,
     trace: Arc<OpTrace>,
     instr: Instruments,
+    gauges: Option<Arc<SessionGauges>>,
 ) -> Result<Arc<InlineShared>, Win32Error> {
     logic.on_open(&mut ctx).map_err(|e| to_win32(&e))?;
-    let pool = BufferPool::observed(Arc::clone(instr.tel.gauges()));
-    let gauges = Arc::clone(instr.tel.sessions());
+    let pool = Arc::new(BufferPool::observed(Arc::clone(instr.tel.gauges())));
+    let core = SentinelCore::new(logic, ctx, Arc::clone(&pool));
     Ok(Arc::new_cyclic(|weak_self| InlineShared {
         core: Mutex::new(InlineCore {
-            logic,
-            ctx,
+            core,
             live: 0,
             closed: false,
         }),

@@ -14,14 +14,18 @@
 //!
 //! Since the strategies trade copies and crossings — not semantics — the
 //! whole hot path is unified behind one protocol: the [`Op`]/[`OpReply`]
-//! command set here, executed by [`execute_op`] wherever the sentinel
-//! lives (a poll-driven [`DispatchTask`] on the sharded
-//! [`executor::SentinelExecutor`] for §4.2/§4.3, inline for §4.4), and
-//! driven application-side by one generic
-//! [`StrategyHandle`](handle::StrategyHandle) over an
-//! [`afs_ipc::Transport`]. Per-command payload staging goes through an
-//! [`afs_ipc::BufferPool`] so a settled sentinel allocates nothing per
-//! operation.
+//! command set here, served by one [`SentinelCore`] wherever the sentinel
+//! lives. [`SentinelCore::serve`] owns what a command means on the
+//! sentinel side (write-behind pre-emption and parking, the sentinel span
+//! and counters, the close hook); the paths around it own only their wire
+//! I/O: a poll-driven [`DispatchTask`] over a private pair of lanes, the
+//! multiplexed `MuxLoop` over framed sessions, and the batched
+//! `RingDispatchTask` over a submission ring — all three on the sharded
+//! [`executor::SentinelExecutor`] for §4.2/§4.3 — or an inline call for
+//! §4.4. One generic [`StrategyHandle`](handle::StrategyHandle) drives the
+//! application side over an [`afs_ipc::Transport`]. Per-command payload
+//! staging goes through an [`afs_ipc::BufferPool`] so a settled sentinel
+//! allocates nothing per operation.
 
 pub(crate) mod batch;
 pub mod control;
@@ -38,8 +42,8 @@ use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 
-use afs_ipc::{BufferPool, PairPort};
-use afs_sim::{clock, SimTime};
+use afs_ipc::{BufferPool, PairPort, PairTransport};
+use afs_sim::{clock, CostModel, OpTrace, SimTime};
 use afs_telemetry::{
     intern, now_ns, LatencyHistogram, Layer, SentinelStats, SloTracker, SpanScope, Telemetry,
 };
@@ -48,6 +52,7 @@ use afs_winapi::Win32Error;
 use crate::ctx::SentinelCtx;
 use crate::logic::{SentinelError, SentinelLogic};
 use crate::strategy::executor::{SentinelPoll, TaskPoll};
+use crate::strategy::handle::StrategyHandle;
 
 /// Per-open wiring handed to a strategy `open`: the telemetry hub, the
 /// interned name of the sentinel being opened, and the executor its
@@ -114,6 +119,18 @@ impl Instruments {
         }
     }
 
+    /// A fresh session of a sentinel serving `strategy`, plus the scope
+    /// cell its application handle publishes the in-flight op in.
+    pub(crate) fn session(&self, strategy: &'static str) -> (Session, Arc<SpanScope>) {
+        let scope = Arc::new(SpanScope::default());
+        let session = Session {
+            sticky: Arc::new(Mutex::new(None)),
+            side: self.sentinel_side(strategy, Arc::clone(&scope)),
+            writes: self.writes.clone(),
+        };
+        (session, scope)
+    }
+
     /// The sentinel-side observation bundle: reads `scope` to parent its
     /// spans to the operation in flight on the application side.
     pub(crate) fn sentinel_side(
@@ -128,6 +145,7 @@ impl Instruments {
             scope,
             strategy,
             note: "",
+            inline: false,
         }
     }
 }
@@ -154,6 +172,10 @@ pub(crate) struct SentinelSide {
     /// sets `"session=<id> file=<path>"` so slow-op ancestry and traces
     /// name the owning session.
     note: &'static str,
+    /// `true` for §4.4, where the sentinel runs on the application's own
+    /// thread: its spans nest under that thread's open transport span
+    /// instead of the scope cell's strategy span.
+    inline: bool,
 }
 
 impl SentinelSide {
@@ -161,6 +183,13 @@ impl SentinelSide {
     /// opens.
     pub(crate) fn with_note(mut self, note: &'static str) -> SentinelSide {
         self.note = note;
+        self
+    }
+
+    /// Returns this side for a sentinel that runs inline on the calling
+    /// thread (§4.4).
+    pub(crate) fn inline(mut self) -> SentinelSide {
+        self.inline = true;
         self
     }
 
@@ -174,32 +203,23 @@ impl SentinelSide {
     /// execution latency in the per-sentinel histogram. The parent (and
     /// trace) come from the scope *cell*, not the polling thread's own
     /// span stack, so a task migrated across executor workers by
-    /// work-stealing still re-parents to the originating op.
+    /// work-stealing still re-parents to the originating op. An inline
+    /// side parents to the innermost open span on this thread instead.
     pub(crate) fn observe<R>(&self, name: &'static str, f: impl FnOnce() -> R) -> R {
         if !self.tel.enabled() {
             return f();
         }
-        let ctx = self.scope.load();
-        let _span = self
-            .tel
-            .span_in_context(Layer::Sentinel, name, self.strategy, ctx, self.note);
-        let started = now_ns();
-        let result = f();
-        self.hist.record(now_ns().saturating_sub(started));
-        result
-    }
-
-    /// Like [`SentinelSide::observe`], but parents to the innermost open
-    /// span on this thread — the §4.4 inline case, where the sentinel runs
-    /// under the application's transport span.
-    pub(crate) fn observe_inline<R>(&self, name: &'static str, f: impl FnOnce() -> R) -> R {
-        if !self.tel.enabled() {
-            return f();
-        }
-        let mut span = self.tel.span_tagged(Layer::Sentinel, name, self.strategy);
-        if let Some(span) = span.as_mut() {
-            span.set_note(self.note);
-        }
+        let _span = if self.inline {
+            let mut span = self.tel.span_tagged(Layer::Sentinel, name, self.strategy);
+            if let Some(span) = span.as_mut() {
+                span.set_note(self.note);
+            }
+            span
+        } else {
+            let ctx = self.scope.load();
+            self.tel
+                .span_in_context(Layer::Sentinel, name, self.strategy, ctx, self.note)
+        };
         let started = now_ns();
         let result = f();
         self.hist.record(now_ns().saturating_sub(started));
@@ -285,24 +305,6 @@ pub const CTL_STORE_STATS: u32 = 0xAF00_57C2;
 /// corrupts — it drops the torn tail).
 pub const CTL_STORE_SYNC: u32 = 0xAF00_57C3;
 
-/// Takes the parked write-behind failure when `op` is a synchronous
-/// command it should pre-empt. Writes never pre-empt (they are the ops
-/// that *park* failures) and Close reports through its own reply, with
-/// the handle re-checking sticky afterwards. Shared by every sentinel
-/// drain path — [`DispatchTask`], the mux loop, and the ring drain — so
-/// batched, multiplexed, and private dispatch surface write-behind
-/// failures under one rule.
-pub(crate) fn take_sticky_preemption(
-    sticky: &Mutex<Option<SentinelError>>,
-    op: &Op,
-) -> Option<SentinelError> {
-    if matches!(op, Op::Write { .. } | Op::Close) {
-        None
-    } else {
-        sticky.lock().take()
-    }
-}
-
 /// Maps sentinel failures to the Win32 codes the application sees.
 pub(crate) fn to_win32(e: &SentinelError) -> Win32Error {
     match e {
@@ -357,17 +359,103 @@ pub(crate) enum OpReply {
     Failed(SentinelError),
 }
 
-/// Executes one protocol command against the sentinel logic, wherever the
-/// sentinel runs: the dispatch loop (§4.2, §4.3) and the inline DLL-only
-/// transport (§4.4) both funnel through here, so all four strategies share
-/// operation semantics by construction.
+/// One session's sentinel-side state: where its write-behind failures
+/// park, how its spans are parented and counted, and — for a private
+/// wire open of a disk-backed file — its in-flight write count (see
+/// [`fence`]). A private open is a sentinel with exactly one session.
+pub(crate) struct Session {
+    /// Shared with the session's handle, which surfaces a parked failure
+    /// on its next operation.
+    pub(crate) sticky: Arc<Mutex<Option<SentinelError>>>,
+    pub(crate) side: SentinelSide,
+    pub(crate) writes: Option<Arc<fence::PendingWrites>>,
+}
+
+/// What a served command owes the wire: nothing for a write (writes are
+/// acknowledged eagerly, §6 write-behind), else the reply plus, for
+/// reads, the produced bytes in a buffer from [`SentinelCore::pool`].
+pub(crate) type Served = Option<(OpReply, Option<Vec<u8>>)>;
+
+/// The sentinel side of every strategy that carries commands: the logic,
+/// its context, and the pool its payloads are staged in. Every dispatch
+/// path — private, multiplexed, batched, inline — serves each command
+/// through [`SentinelCore::serve`] and owns only its wire I/O.
+pub(crate) struct SentinelCore {
+    logic: Box<dyn SentinelLogic>,
+    ctx: SentinelCtx,
+    pool: Arc<BufferPool>,
+}
+
+impl SentinelCore {
+    pub(crate) fn new(
+        logic: Box<dyn SentinelLogic>,
+        ctx: SentinelCtx,
+        pool: Arc<BufferPool>,
+    ) -> SentinelCore {
+        SentinelCore { logic, ctx, pool }
+    }
+
+    /// The pool write payloads are staged in and read replies come from.
+    pub(crate) fn pool(&self) -> &BufferPool {
+        &self.pool
+    }
+
+    /// Serves one command for `session`; `payload` carries the bytes of a
+    /// `Write`. A parked write-behind failure pre-empts the next
+    /// synchronous command, so the application learns of it
+    /// deterministically (commands are served in order). Writes never
+    /// pre-empt — they are the ops that *park* failures — and Close
+    /// reports through its own reply, with the handle re-checking sticky
+    /// afterwards. A served Close has run the close hook.
+    pub(crate) fn serve(&mut self, session: &Session, op: Op, payload: &[u8]) -> Served {
+        let (write, bytes_in) = match op {
+            Op::Write { len, .. } => (true, u64::from(len)),
+            Op::Close => (false, 0),
+            // An inline (§4.4) handle takes a parked failure on the very
+            // write that parked it, so there is never one left to pre-empt.
+            _ if session.side.inline => (false, 0),
+            _ => match session.sticky.lock().take() {
+                Some(e) => return Some((OpReply::Failed(e), None)),
+                None => (false, 0),
+            },
+        };
+        let name = op_name(&op);
+        let Self { logic, ctx, pool } = self;
+        let (reply, data) = session
+            .side
+            .observe(name, || execute_op(logic.as_mut(), ctx, op, payload, pool));
+        let bytes_out = data.as_ref().map_or(0, |d| d.len() as u64);
+        let failed = matches!(reply, OpReply::Failed(_));
+        session.side.stats().op(bytes_in, bytes_out, failed);
+        if !write {
+            return Some((reply, data));
+        }
+        if let OpReply::Failed(e) = reply {
+            *session.sticky.lock() = Some(e);
+        }
+        if let Some(writes) = &session.writes {
+            writes.applied();
+        }
+        None
+    }
+
+    /// The wire-dead epilogue: the application vanished without Close
+    /// (process killed, or the executor shut down) — still run the close
+    /// hook and persist the cache.
+    pub(crate) fn abandon(&mut self) {
+        let _ = self.logic.on_close(&mut self.ctx);
+        self.ctx.persist_cache();
+    }
+}
+
+/// Executes one protocol command against the sentinel logic, so all four
+/// strategies share operation semantics by construction.
 ///
 /// Returns the reply plus, for reads, the produced bytes (a pooled buffer
 /// the caller returns to `pool` after sending). `payload` carries the
 /// bytes of a `Write`; other commands ignore it. A `Write` failure comes
-/// back as `Failed` — the caller decides whether to park it (write-behind)
-/// or surface it.
-pub(crate) fn execute_op(
+/// back as `Failed` for the caller to park.
+fn execute_op(
     logic: &mut dyn SentinelLogic,
     ctx: &mut SentinelCtx,
     op: Op,
@@ -613,120 +701,69 @@ fn replay_queued_writes(logic: &mut dyn SentinelLogic, ctx: &mut SentinelCtx) {
     ctx.set_stale(false);
 }
 
-/// The sentinel dispatch state machine shared by the process-plus-control
-/// and DLL-with-thread strategies ("the thread … runs a dispatch loop
-/// using calls to AF_GetControl", §5.3), draining one [`PairPort`].
+/// The sentinel dispatch state machine of a private process-plus-control
+/// or DLL-with-thread open ("the thread … runs a dispatch loop using
+/// calls to AF_GetControl", §5.3), draining one [`PairPort`].
 ///
-/// This is the old blocking dispatch loop refactored into a resumable
-/// [`SentinelPoll`] task: instead of blocking in `recv_cmd` on a dedicated
-/// thread, `poll` drains whatever the command lane holds (with
-/// `recv_cmd`-equivalent cost charging, see [`PairPort::poll_cmd`]) and
-/// yields, so the sentinel executor can park it without a thread. Write
-/// payloads still arrive with a short bounded wait — the application sends
-/// command and payload back-to-back under its op lock.
-///
-/// Write failures are parked in `sticky` and surfaced on the next
-/// synchronous operation, because writes are acknowledged eagerly
-/// (write-behind, §6). Payloads are staged in the port's buffer pool, so a
-/// settled sentinel performs no per-command allocation.
-pub(crate) struct DispatchTask {
-    logic: Box<dyn SentinelLogic>,
-    ctx: SentinelCtx,
+/// Instead of blocking in `recv_cmd` on a dedicated thread, `poll` drains
+/// whatever the command lane holds (with `recv_cmd`-equivalent cost
+/// charging, see [`PairPort::poll_cmd`]) and yields, so the sentinel
+/// executor can park it without a thread. Write payloads still arrive
+/// with a short bounded wait — the application sends command and payload
+/// back-to-back under its op lock.
+struct DispatchTask {
+    core: SentinelCore,
     port: PairPort<Op, OpReply>,
-    sticky: Arc<Mutex<Option<SentinelError>>>,
-    side: SentinelSide,
-    writes: Option<Arc<fence::PendingWrites>>,
+    session: Session,
 }
 
 impl DispatchTask {
-    pub(crate) fn new(
-        logic: Box<dyn SentinelLogic>,
-        ctx: SentinelCtx,
-        port: PairPort<Op, OpReply>,
-        sticky: Arc<Mutex<Option<SentinelError>>>,
-        side: SentinelSide,
-        writes: Option<Arc<fence::PendingWrites>>,
-    ) -> DispatchTask {
-        DispatchTask {
-            logic,
-            ctx,
-            port,
-            sticky,
-            side,
-            writes,
-        }
-    }
-
     /// Serves one command; `Ready` when the sentinel should terminate.
     fn serve(&mut self, op: Op) -> TaskPoll {
-        // A parked write-behind failure pre-empts the next synchronous
-        // command, so the application learns of it deterministically
-        // (commands are processed in order).
-        if let Some(e) = take_sticky_preemption(&self.sticky, &op) {
-            return match self.port.send_reply(OpReply::Failed(e)) {
-                Ok(()) => TaskPoll::Pending,
-                Err(_) => TaskPoll::Ready,
-            };
+        let closing = matches!(op, Op::Close);
+        let mut payload = Vec::new();
+        if let Op::Write { len, .. } = op {
+            payload = self.core.pool().take(len as usize);
+            if len > 0 && self.port.recv_data_exact(&mut payload).is_err() {
+                return TaskPoll::Ready;
+            }
         }
-        let (logic, ctx, port) = (self.logic.as_mut(), &mut self.ctx, &self.port);
-        match op {
-            Op::Write { len, .. } => {
-                let mut buf = port.pool().take(len as usize);
-                if len > 0 && port.recv_data_exact(&mut buf).is_err() {
-                    return TaskPoll::Ready;
-                }
-                let (reply, _) = self
-                    .side
-                    .observe("write", || execute_op(logic, ctx, op, &buf, port.pool()));
-                let failed = matches!(reply, OpReply::Failed(_));
-                self.side.stats().op(len as u64, 0, failed);
-                if let OpReply::Failed(e) = reply {
-                    *self.sticky.lock() = Some(e);
-                }
-                port.pool().put(buf);
-                if let Some(writes) = &self.writes {
-                    writes.applied();
-                }
-                TaskPoll::Pending
-            }
-            Op::Close => {
-                let (reply, _) = self
-                    .side
-                    .observe("close", || execute_op(logic, ctx, op, &[], port.pool()));
-                self.side
-                    .stats()
-                    .op(0, 0, matches!(reply, OpReply::Failed(_)));
-                let _ = port.send_reply(reply);
-                TaskPoll::Ready
-            }
-            other => {
-                let name = op_name(&other);
-                let (reply, data) = self
-                    .side
-                    .observe(name, || execute_op(logic, ctx, other, &[], port.pool()));
-                let bytes_out = data.as_ref().map_or(0, |d| d.len() as u64);
-                self.side
-                    .stats()
-                    .op(0, bytes_out, matches!(reply, OpReply::Failed(_)));
-                if port.send_reply(reply).is_err() {
-                    return TaskPoll::Ready;
-                }
-                if let Some(data) = data {
-                    if !data.is_empty() && port.send_data(&data).is_err() {
-                        return TaskPoll::Ready;
-                    }
-                    port.pool().put(data);
-                }
-                TaskPoll::Pending
-            }
+        let served = self.core.serve(&self.session, op, &payload);
+        self.core.pool().put(payload);
+        let Some((reply, data)) = served else {
+            return TaskPoll::Pending;
+        };
+        let sent = send_reply(&self.port, self.core.pool(), reply, data);
+        if closing || sent.is_err() {
+            TaskPoll::Ready
+        } else {
+            TaskPoll::Pending
         }
     }
+}
+
+/// Sends a served reply, then any read bytes, down a pair of lanes; the
+/// bytes' buffer goes back to `pool` once sent.
+pub(crate) fn send_reply<C: Send + 'static, R: Send + 'static>(
+    port: &PairPort<C, R>,
+    pool: &BufferPool,
+    reply: R,
+    data: Option<Vec<u8>>,
+) -> afs_ipc::Result<()> {
+    port.send_reply(reply)?;
+    if let Some(data) = data {
+        if !data.is_empty() {
+            port.send_data(&data)?;
+        }
+        pool.put(data);
+    }
+    Ok(())
 }
 
 impl Drop for DispatchTask {
     /// Writes still counted in flight will never be applied now.
     fn drop(&mut self) {
-        if let Some(writes) = &self.writes {
+        if let Some(writes) = &self.session.writes {
             writes.settle();
         }
     }
@@ -741,14 +778,11 @@ impl SentinelPoll for DispatchTask {
             let op = match self.port.poll_cmd() {
                 Ok(Some(op)) => op,
                 Ok(None) => {
-                    self.side.stats().note_queue_depth(drained);
+                    self.session.side.stats().note_queue_depth(drained);
                     return TaskPoll::Pending;
                 }
-                // The application vanished without Close (process killed);
-                // still run the close hook.
                 Err(_) => {
-                    let _ = self.logic.on_close(&mut self.ctx);
-                    self.ctx.persist_cache();
+                    self.core.abandon();
                     return TaskPoll::Ready;
                 }
             };
@@ -760,9 +794,50 @@ impl SentinelPoll for DispatchTask {
     }
 
     fn abandon(&mut self) {
-        let _ = self.logic.on_close(&mut self.ctx);
-        self.ctx.persist_cache();
+        self.core.abandon();
     }
+}
+
+/// Builds a private open of a wire strategy — §4.2 kernel pipes when
+/// `kernel`, else §4.3 shared memory: runs the open hook, registers a
+/// [`DispatchTask`] on the sentinel executor, and returns the
+/// application-side handle.
+pub(crate) fn open_private_wire(
+    strategy: &'static str,
+    kernel: bool,
+    mut logic: Box<dyn SentinelLogic>,
+    mut ctx: SentinelCtx,
+    model: CostModel,
+    trace: Arc<OpTrace>,
+    instr: Instruments,
+) -> Result<Arc<dyn ActiveOps>, Win32Error> {
+    logic.on_open(&mut ctx).map_err(|e| to_win32(&e))?;
+    let gauges = Arc::clone(instr.tel.gauges());
+    let (transport, port) = if kernel {
+        PairTransport::<Op, OpReply>::kernel_observed(model.clone(), gauges)
+    } else {
+        PairTransport::<Op, OpReply>::shared_observed(model.clone(), gauges)
+    };
+    let (session, scope) = instr.session(strategy);
+    let sticky = Arc::clone(&session.sticky);
+    let core = SentinelCore::new(logic, ctx, Arc::clone(port.pool()));
+    let done = instr.spawn_task(move |waker| {
+        port.set_wakeup(waker);
+        Box::new(DispatchTask {
+            core,
+            port,
+            session,
+        })
+    });
+    Ok(Arc::new(StrategyHandle::new(
+        transport,
+        model,
+        trace,
+        strategy,
+        sticky,
+        Some(Reaper::Task(done)),
+        instr.app_side(scope),
+    )))
 }
 
 /// Spawns a sentinel thread that inherits the opener's virtual clock and

@@ -14,11 +14,12 @@
 //!   [`Op`]/[`OpReply`] — which commands carry payload, which replies do,
 //!   which command is the terminal close, and when two writes are
 //!   contiguous (the hub coalesces those into one crossing).
-//! * [`MuxLoop`] is the sentinel side: it drains framed commands, executes
-//!   writes immediately at drain time (write-behind — wire order is the
-//!   only cross-session order there is), and queues reply-bearing
+//! * [`MuxLoop`] is the sentinel side's wire: it drains framed commands,
+//!   serves writes immediately at drain time (write-behind — wire order is
+//!   the only cross-session order there is), and queues reply-bearing
 //!   operations per session, servicing the sessions round-robin so one
-//!   chatty client cannot starve the rest.
+//!   chatty client cannot starve the rest. What each command means is
+//!   [`SentinelCore::serve`]'s, shared with every other dispatch path.
 //! * [`SharedSentinel`] is what the open path's registry stores: later
 //!   opens call [`SharedSentinel::attach`] to join; `None` means the
 //!   sentinel already ran its terminal close and a fresh one is needed.
@@ -31,17 +32,16 @@ use parking_lot::Mutex;
 
 use afs_ipc::{Framed, MuxHub, MuxProtocol, PairPort, PairTransport};
 use afs_sim::{CostModel, OpTrace};
-use afs_telemetry::{intern, SpanScope, Telemetry};
+use afs_telemetry::{intern, Telemetry};
 use afs_winapi::Win32Error;
 
 use crate::ctx::SentinelCtx;
-use crate::logic::{SentinelError, SentinelLogic};
+use crate::logic::SentinelLogic;
 use crate::spec::Strategy;
 use crate::strategy::executor::{SentinelPoll, TaskDone, TaskPoll};
 use crate::strategy::handle::StrategyHandle;
 use crate::strategy::{
-    execute_op, op_name, take_sticky_preemption, to_win32, ActiveOps, Instruments, Op, OpReply,
-    SentinelSide,
+    send_reply, to_win32, ActiveOps, Instruments, Op, OpReply, SentinelCore, Served, Session,
 };
 
 /// The wire-shape facts [`MuxHub`] needs about the [`Op`]/[`OpReply`]
@@ -98,15 +98,10 @@ type Wire = PairTransport<Framed<Op>, Framed<OpReply>>;
 type WirePort = PairPort<Framed<Op>, Framed<OpReply>>;
 type OpHub = MuxHub<OpMux, Wire>;
 
-/// Per-session sentinel-side state, registered at attach so the dispatch
-/// loop can park write-behind failures and parent spans correctly.
-#[derive(Clone)]
-struct SessionRecord {
-    sticky: Arc<Mutex<Option<SentinelError>>>,
-    side: SentinelSide,
-}
-
-type SessionTable = Arc<Mutex<HashMap<u32, SessionRecord>>>;
+/// Each session's sentinel-side state, registered at attach so the
+/// dispatch loop can park write-behind failures and parent spans
+/// correctly.
+type SessionTable = Arc<Mutex<HashMap<u32, Arc<Session>>>>;
 
 /// A running sentinel that later opens of the same `(path, spec)` can
 /// join as additional sessions.
@@ -138,34 +133,24 @@ pub(crate) struct MuxShared {
 
 impl SharedSentinel for MuxShared {
     fn attach(&self) -> Option<Arc<dyn ActiveOps>> {
-        let session = self.hub.attach()?;
-        let sticky = Arc::new(Mutex::new(None));
-        let scope = Arc::new(SpanScope::default());
+        let wire = self.hub.attach()?;
+        let (mut session, scope) = self.instr.session(self.strategy);
         // Every sentinel-side span of this session carries the owning
         // session id and file, so slow-op ancestry and trace dumps name
         // which of the multiplexed clients an op belongs to.
-        let note = intern(&format!(
-            "session={} file={}",
-            session.session_id(),
-            self.file
-        ));
-        let record = SessionRecord {
-            sticky: Arc::clone(&sticky),
-            side: self
-                .instr
-                .sentinel_side(self.strategy, Arc::clone(&scope))
-                .with_note(note),
-        };
+        let note = intern(&format!("session={} file={}", wire.session_id(), self.file));
+        session.side = session.side.with_note(note);
+        let sticky = Arc::clone(&session.sticky);
         {
             // Sessions that closed non-terminally never reach the
             // dispatch loop, so their records are pruned here instead.
             let live = self.hub.live_sessions();
             let mut table = self.sessions.lock();
             table.retain(|id, _| live.contains(id));
-            table.insert(session.session_id(), record);
+            table.insert(wire.session_id(), Arc::new(session));
         }
         Some(Arc::new(StrategyHandle::new(
-            session,
+            wire,
             self.model.clone(),
             Arc::clone(&self.trace),
             self.strategy,
@@ -218,13 +203,12 @@ pub(crate) fn open_shared(
     );
     let sessions: SessionTable = Arc::new(Mutex::new(HashMap::new()));
     let state = MuxLoop {
-        logic,
-        ctx,
+        core: SentinelCore::new(logic, ctx, Arc::clone(port.pool())),
         port,
         sessions: Arc::clone(&sessions),
         // Frames from sessions that detached before their staged writes
-        // drained still execute, observed under this fallback scope.
-        fallback: instr.sentinel_side(label, Arc::new(SpanScope::default())),
+        // drained still execute, observed under this fallback session.
+        fallback: instr.session(label).0,
         tel: Arc::clone(&instr.tel),
         queues: HashMap::new(),
         rotation: VecDeque::new(),
@@ -263,11 +247,10 @@ enum Step {
 /// machine (scheduled on the sentinel executor) serving every session of
 /// one shared sentinel.
 struct MuxLoop {
-    logic: Box<dyn SentinelLogic>,
-    ctx: SentinelCtx,
+    core: SentinelCore,
     port: WirePort,
     sessions: SessionTable,
-    fallback: SentinelSide,
+    fallback: Session,
     tel: Arc<Telemetry>,
     /// Reply-bearing operations awaiting service, per session.
     queues: HashMap<u32, VecDeque<Op>>,
@@ -277,44 +260,28 @@ struct MuxLoop {
 }
 
 impl MuxLoop {
-    fn record(&self, session: u32) -> Option<SessionRecord> {
-        self.sessions.lock().get(&session).cloned()
+    /// Serves `op` for `session` (the fallback when it has detached).
+    fn serve(&mut self, session: u32, op: Op, payload: &[u8]) -> Served {
+        let record = self.sessions.lock().get(&session).cloned();
+        let session = record.as_deref().unwrap_or(&self.fallback);
+        self.core.serve(session, op, payload)
     }
 
-    /// Takes one frame off the wire. Writes execute immediately — they
+    /// Takes one frame off the wire. Writes are served immediately — they
     /// are acknowledged eagerly on the application side, and executing in
     /// wire order is what makes a flushed batch land before the read that
     /// forced the flush. Everything that owes a reply queues for fair
     /// servicing instead.
     fn ingest(&mut self, frame: Framed<Op>) -> Step {
-        let session = frame.session;
-        let op = frame.body;
+        let Framed { session, body: op } = frame;
         if let Op::Write { len, .. } = op {
-            let rec = self.record(session);
-            let Self {
-                logic,
-                ctx,
-                port,
-                fallback,
-                ..
-            } = self;
-            let mut buf = port.pool().take(len as usize);
-            if len > 0 && port.recv_data_exact(&mut buf).is_err() {
-                port.pool().put(buf);
+            let mut buf = self.core.pool().take(len as usize);
+            if len > 0 && self.port.recv_data_exact(&mut buf).is_err() {
+                self.core.pool().put(buf);
                 return Step::WireDead;
             }
-            let side = rec.as_ref().map_or(&*fallback, |r| &r.side);
-            let (reply, _) = side.observe("write", || {
-                execute_op(logic.as_mut(), ctx, op, &buf, port.pool())
-            });
-            side.stats()
-                .op(u64::from(len), 0, matches!(reply, OpReply::Failed(_)));
-            port.pool().put(buf);
-            if let OpReply::Failed(e) = reply {
-                if let Some(rec) = rec {
-                    *rec.sticky.lock() = Some(e);
-                }
-            }
+            self.serve(session, op, &buf);
+            self.core.pool().put(buf);
             return Step::Continue;
         }
         let queue = self.queues.entry(session).or_default();
@@ -325,72 +292,22 @@ impl MuxLoop {
         Step::Continue
     }
 
-    /// Serves one queued operation for `session`, mirroring the private
-    /// dispatch loop: a parked write-behind failure pre-empts the next
-    /// synchronous command (Close excepted — it reports via its own
-    /// reply and the handle re-checks sticky afterwards).
+    /// Serves one queued reply-bearing operation for `session` and sends
+    /// its reply.
     fn service(&mut self, session: u32, op: Op) -> Step {
-        let rec = self.record(session);
-        if let Some(e) = rec
-            .as_ref()
-            .and_then(|r| take_sticky_preemption(&r.sticky, &op))
-        {
-            let failed = Framed {
-                session,
-                body: OpReply::Failed(e),
-            };
-            return if self.port.send_reply(failed).is_err() {
-                Step::WireDead
-            } else {
-                Step::Continue
-            };
-        }
         let closing = matches!(op, Op::Close);
-        let name = op_name(&op);
-        let Self {
-            logic,
-            ctx,
-            port,
-            fallback,
-            ..
-        } = self;
-        let side = rec.as_ref().map_or(&*fallback, |r| &r.side);
-        let (reply, data) = side.observe(name, || {
-            execute_op(logic.as_mut(), ctx, op, &[], port.pool())
-        });
-        side.stats().op(
-            0,
-            data.as_ref().map_or(0, |d| d.len() as u64),
-            matches!(reply, OpReply::Failed(_)),
-        );
-        if port
-            .send_reply(Framed {
-                session,
-                body: reply,
-            })
-            .is_err()
-        {
+        let Some((body, data)) = self.serve(session, op, &[]) else {
+            return Step::Continue;
+        };
+        let reply = Framed { session, body };
+        if send_reply(&self.port, self.core.pool(), reply, data).is_err() {
             return Step::WireDead;
-        }
-        if let Some(data) = data {
-            if !data.is_empty() && port.send_data(&data).is_err() {
-                return Step::WireDead;
-            }
-            port.pool().put(data);
         }
         if closing {
             Step::Closed
         } else {
             Step::Continue
         }
-    }
-
-    /// The wire-dead epilogue: the application vanished without the
-    /// terminal close (process killed) — still run the close hook, like
-    /// the private loop.
-    fn finish(&mut self) {
-        let _ = self.logic.on_close(&mut self.ctx);
-        self.ctx.persist_cache();
     }
 }
 
@@ -407,13 +324,13 @@ impl SentinelPoll for MuxLoop {
                 match self.port.poll_cmd() {
                     Ok(Some(frame)) => {
                         if matches!(self.ingest(frame), Step::WireDead) {
-                            self.finish();
+                            self.core.abandon();
                             return TaskPoll::Ready;
                         }
                     }
                     Ok(None) => return TaskPoll::Pending,
                     Err(_) => {
-                        self.finish();
+                        self.core.abandon();
                         return TaskPoll::Ready;
                     }
                 }
@@ -437,12 +354,12 @@ impl SentinelPoll for MuxLoop {
                 }
             }
             if dead {
-                self.finish();
+                self.core.abandon();
                 return TaskPoll::Ready;
             }
             let depth: usize = self.queues.values().map(VecDeque::len).sum();
             self.tel.sessions().note_queue_depth(depth as u64);
-            self.fallback.stats().note_queue_depth(depth as u64);
+            self.fallback.side.stats().note_queue_depth(depth as u64);
             let Some(session) = self.rotation.pop_front() else {
                 continue;
             };
@@ -455,18 +372,18 @@ impl SentinelPoll for MuxLoop {
             match self.service(session, op) {
                 Step::Continue => {}
                 Step::WireDead => {
-                    self.finish();
+                    self.core.abandon();
                     return TaskPoll::Ready;
                 }
-                // The terminal close already ran the close hook inside
-                // `execute_op`; no epilogue.
+                // The terminal close already ran the close hook; no
+                // epilogue.
                 Step::Closed => return TaskPoll::Ready,
             }
         }
     }
 
     fn abandon(&mut self) {
-        self.finish();
+        self.core.abandon();
     }
 }
 

@@ -157,21 +157,32 @@ fn second_open_attaches_to_the_running_sentinel() {
 
 #[test]
 fn share_off_forces_private_sentinels() {
-    let world = build(Strategy::DllThread, false);
-    let api = world.api();
-    let _clock = clock::install(0);
-    let h1 = api
-        .create_file("/eq.af", Access::read_write(), Disposition::OpenExisting)
-        .expect("open h1");
-    let h2 = api
-        .create_file("/eq.af", Access::read_write(), Disposition::OpenExisting)
-        .expect("open h2");
-    assert!(
-        world.shared_sentinels().is_empty(),
-        "share=off: every open gets a private sentinel"
-    );
-    api.close_handle(h1).expect("close");
-    api.close_handle(h2).expect("close");
+    for strategy in SHARABLE {
+        let world = build(strategy, false);
+        let api = world.api();
+        let _clock = clock::install(0);
+        let h1 = api
+            .create_file("/eq.af", Access::read_write(), Disposition::OpenExisting)
+            .expect("open h1");
+        let h2 = api
+            .create_file("/eq.af", Access::read_write(), Disposition::OpenExisting)
+            .expect("open h2");
+        assert!(
+            world.shared_sentinels().is_empty(),
+            "{strategy:?} share=off: every open gets a private sentinel"
+        );
+        // A private open is a sentinel with one session, but not an attach.
+        let sessions = world.telemetry().sessions().snapshot();
+        assert_eq!(
+            (sessions.attaches, sessions.sessions),
+            (0, 0),
+            "{strategy:?} share=off: no session gauge moves"
+        );
+        api.close_handle(h1).expect("close");
+        api.close_handle(h2).expect("close");
+        let sessions = world.telemetry().sessions().snapshot();
+        assert_eq!((sessions.attaches, sessions.sessions), (0, 0));
+    }
 }
 
 #[test]

@@ -23,8 +23,9 @@
 //! failover, and work-stealing boundaries.
 
 use std::cell::{Cell, RefCell};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, LazyLock, OnceLock};
 use std::time::Instant;
 
 use afs_sim::clock;
@@ -873,17 +874,17 @@ pub fn now_ns() -> u64 {
     }
 }
 
-static INTERNED: std::sync::Mutex<Vec<&'static str>> = std::sync::Mutex::new(Vec::new());
+static INTERNED: LazyLock<Mutex<HashSet<&'static str>>> = LazyLock::new(Mutex::default);
 
 /// Interns a string, returning a `&'static str` (leaked once per distinct
 /// value). Used for sentinel names so [`SpanRecord`] stays `Copy`.
 pub fn intern(name: &str) -> &'static str {
-    let mut table = INTERNED.lock().expect("intern table poisoned");
-    if let Some(existing) = table.iter().find(|s| **s == name) {
+    let mut table = INTERNED.lock();
+    if let Some(existing) = table.get(name) {
         return existing;
     }
     let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-    table.push(leaked);
+    table.insert(leaked);
     leaked
 }
 
@@ -979,6 +980,20 @@ mod tests {
         let a = intern("mirror-test-sentinel");
         let b = intern("mirror-test-sentinel");
         assert!(std::ptr::eq(a, b));
+    }
+
+    #[test]
+    fn interning_returns_one_pointer_per_distinct_string() {
+        let notes: Vec<String> = (0..512)
+            .map(|i| format!("session={i} file=/intern-test.af"))
+            .collect();
+        let first: Vec<&'static str> = notes.iter().map(|n| intern(n)).collect();
+        for (note, interned) in notes.iter().zip(&first) {
+            assert_eq!(*interned, note.as_str());
+            assert!(std::ptr::eq(intern(&note.clone()), *interned));
+        }
+        let distinct: HashSet<*const u8> = first.iter().map(|s| s.as_ptr()).collect();
+        assert_eq!(distinct.len(), notes.len(), "different strings never share");
     }
 
     #[test]

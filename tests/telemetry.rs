@@ -357,6 +357,54 @@ fn slow_ops_across_mux_sessions_name_their_session_and_file() {
 }
 
 #[test]
+fn per_sentinel_counters_agree_across_command_strategies() {
+    // One script — a write, a read of it back, a failing control and the
+    // close — feeds the same per-sentinel counters whether the sentinel
+    // is a separate process, a thread or inline, shared or private.
+    let mut seen = Vec::new();
+    for strategy in [
+        Strategy::ProcessControl,
+        Strategy::DllThread,
+        Strategy::DllOnly,
+    ] {
+        for share in ["on", "off"] {
+            let w = AfsWorld::new();
+            register_standard_sentinels(&w);
+            let spec = SentinelSpec::new("null", strategy)
+                .backing(Backing::Memory)
+                .with("share", share);
+            w.install_active_file("/c.af", &spec).expect("install");
+            let api = w.api();
+            let h = api
+                .create_file("/c.af", Access::read_write(), Disposition::OpenExisting)
+                .expect("open");
+            api.write_file(h, b"hello").expect("write");
+            api.set_file_pointer(h, 0, SeekMethod::Begin)
+                .expect("rewind");
+            let mut buf = [0u8; 8];
+            assert_eq!(api.read_file(h, &mut buf).expect("read"), 5);
+            api.device_io_control(h, 0x1234, b"")
+                .expect_err("null has no control surface");
+            api.close_handle(h).expect("close");
+            let (_, stats) = w
+                .telemetry()
+                .sentinel_stats_snapshots()
+                .into_iter()
+                .find(|(name, _)| *name == "null")
+                .expect("null sentinel stats");
+            seen.push((
+                format!("{strategy:?} share={share}"),
+                (stats.ops, stats.errors, stats.bytes_in, stats.bytes_out),
+            ));
+        }
+    }
+    assert!(
+        seen.iter().all(|(_, counts)| *counts == (4, 1, 5, 5)),
+        "(ops, errors, bytes_in, bytes_out) per configuration: {seen:#?}"
+    );
+}
+
+#[test]
 fn exported_span_trace_covers_the_interposition_chain() {
     // The CI gate formerly validated `figure6 --spans` output with a
     // python script; this is the same check in-tree. The exported
