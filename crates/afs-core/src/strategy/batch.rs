@@ -9,9 +9,9 @@
 //! terms. Three populations fill a batch:
 //!
 //! * **Coalesced writes** — write-behind staging merges adjacent writes
-//!   into one submission entry with no window cap (beyond the mux
-//!   layer's adjacent-only 64 KiB coalescing) and flushes when the ring
-//!   depth is reached or a synchronous op needs ordering.
+//!   into one submission entry of at most [`STAGE_CAPACITY`] bytes (the
+//!   mux layer's cap) and flushes when the ring depth is reached, a
+//!   synchronous op needs ordering, or the driver is dropped.
 //! * **Readahead** — a demand read that misses the speculative cache
 //!   submits itself plus sequential speculative reads to fill the batch;
 //!   later sequential reads are served from harvested completions with
@@ -34,7 +34,9 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use afs_ipc::{BufferPool, Cqe, IpcError, RingPair, RingPort, RingTransport, Sqe, Transport};
+use afs_ipc::{
+    BufferPool, Cqe, IpcError, RingPair, RingPort, RingTransport, Sqe, Transport, STAGE_CAPACITY,
+};
 use afs_sim::{CostModel, CrossingKind, OpTrace};
 use afs_telemetry::{Layer, RingGauges, Telemetry};
 use afs_winapi::Win32Error;
@@ -43,6 +45,7 @@ use crate::ctx::SentinelCtx;
 use crate::logic::SentinelLogic;
 use crate::strategy::executor::{SentinelPoll, TaskPoll};
 use crate::strategy::handle::StrategyHandle;
+use crate::strategy::mux::OpMux;
 use crate::strategy::{
     to_win32, ActiveOps, Instruments, Op, OpReply, Reaper, SentinelCore, Session,
 };
@@ -131,14 +134,6 @@ struct DriverState {
     next_id: u64,
     /// Write-behind submissions staged since the last doorbell.
     staged: Vec<Sqe<Op>>,
-    /// A `Write` command waiting for its payload (`send_cmd` then
-    /// `send_data`, back to back under the handle's op lock).
-    pending_write: Option<Op>,
-    /// The staged reply the handle's next `recv_reply` returns.
-    reply: Option<OpReply>,
-    /// Staged outbound bytes the handle's next `recv_data*` drains.
-    outbound: Vec<u8>,
-    outbound_pos: usize,
     /// Harvested speculative reads: `(offset, len)` → produced bytes.
     cache: HashMap<(u64, u32), Vec<u8>>,
     /// Speculative reads in flight: `(id, offset, len, epoch)`.
@@ -153,10 +148,11 @@ struct DriverState {
 }
 
 /// The application side of a batched wiring: an [`afs_ipc::Transport`]
-/// whose command lane stages into a submission ring. Crossing charges
-/// happen in [`RingTransport::submit`] — once per batch — so
+/// whose posts stage into a submission ring and whose calls submit the
+/// staged batch ahead of themselves. Crossing charges happen in
+/// [`RingTransport::submit`] — once per batch — so
 /// `charges_own_crossings` tells the strategy handle to skip its own
-/// per-op round-trip charge.
+/// per-op round-trip charge. Dropping the driver submits what it staged.
 pub(crate) struct RingDriver {
     ring: RingTransport<Op, OpReply>,
     state: Mutex<DriverState>,
@@ -218,8 +214,9 @@ impl RingDriver {
     }
 
     /// Stages one write submission, merging it into the previous staged
-    /// write when byte-adjacent (no window cap), and flushes the staged
-    /// batch once it reaches the ring depth.
+    /// write when byte-adjacent and the merged entry stays within
+    /// [`STAGE_CAPACITY`], and flushes the staged batch once it reaches
+    /// the ring depth.
     fn stage_write(
         &self,
         state: &mut DriverState,
@@ -236,7 +233,7 @@ impl RingDriver {
                 cmd: Op::Write { offset: o, len },
                 payload: Some(buf),
                 ..
-            }) if *o + u64::from(*len) == offset => {
+            }) if *o + u64::from(*len) == offset && buf.len() + payload.len() <= STAGE_CAPACITY => {
                 buf.extend_from_slice(&payload);
                 *len += payload.len() as u32;
                 true
@@ -289,17 +286,18 @@ impl RingDriver {
     /// Serves a demand read: from the readahead cache when the exact span
     /// was speculated (zero new crossings), otherwise with one batch of
     /// staged writes + the demand read + sequential speculative reads.
-    fn demand_read(&self, state: &mut DriverState, offset: u64, len: u32) -> afs_ipc::Result<()> {
+    fn demand_read(
+        &self,
+        state: &mut DriverState,
+        offset: u64,
+        len: u32,
+    ) -> afs_ipc::Result<(OpReply, Option<Vec<u8>>)> {
         self.sync_heal_generation(state);
         self.harvest(state);
         if let Some(data) = state.cache.remove(&(offset, len)) {
             self.gauges.readahead_hit();
-            state.reply = Some(OpReply::Read {
-                n: data.len() as u32,
-            });
-            state.outbound = data;
-            state.outbound_pos = 0;
-            return Ok(());
+            let n = data.len() as u32;
+            return Ok((OpReply::Read { n }, Some(data)));
         }
         let mut batch = std::mem::take(&mut state.staged);
         let demand = Self::next_id(state);
@@ -325,16 +323,17 @@ impl RingDriver {
         self.submit(batch)?;
         state.inflight.extend(speculative);
         let cqe = self.ring.complete(demand)?;
-        state.reply = Some(cqe.reply);
-        state.outbound = cqe.data.unwrap_or_default();
-        state.outbound_pos = 0;
-        Ok(())
+        Ok((cqe.reply, cqe.data))
     }
 
     /// Runs one synchronous command through the ring: staged writes flush
-    /// ahead of it in the same crossing, and the caller's reply (plus any
-    /// produced bytes) is staged for `recv_reply`/`recv_data*`.
-    fn sync_roundtrip(&self, state: &mut DriverState, op: Op) -> afs_ipc::Result<()> {
+    /// ahead of it in the same crossing. Returns the reply plus any
+    /// produced bytes.
+    fn sync_roundtrip(
+        &self,
+        state: &mut DriverState,
+        op: Op,
+    ) -> afs_ipc::Result<(OpReply, Option<Vec<u8>>)> {
         self.sync_heal_generation(state);
         if matches!(op, Op::Control { .. } | Op::ReadScatter { .. } | Op::Flush) {
             // Controls can mutate sentinel state; scatter reads advance
@@ -352,10 +351,7 @@ impl RingDriver {
         });
         self.submit(batch)?;
         let cqe = self.ring.complete(id)?;
-        state.reply = Some(cqe.reply);
-        state.outbound = cqe.data.unwrap_or_default();
-        state.outbound_pos = 0;
-        Ok(())
+        Ok((cqe.reply, cqe.data))
     }
 }
 
@@ -368,75 +364,45 @@ impl std::fmt::Debug for RingDriver {
     }
 }
 
-impl Transport for RingDriver {
-    type Cmd = Op;
-    type Reply = OpReply;
-
+impl Transport<OpMux> for RingDriver {
     fn crossing(&self) -> CrossingKind {
         self.ring.crossing()
-    }
-
-    fn supports_control(&self) -> bool {
-        true
     }
 
     fn charges_own_crossings(&self) -> bool {
         true
     }
 
-    fn ring_depth(&self) -> Option<usize> {
-        Some(self.ring.depth())
+    fn post(&self, cmd: Op, payload: &[u8]) -> afs_ipc::Result<()> {
+        let Op::Write { offset, .. } = cmd else {
+            return Err(IpcError::Unsupported);
+        };
+        self.stage_write(&mut self.state.lock(), offset, payload.to_vec())
     }
 
-    fn send_cmd(&self, cmd: Op) -> afs_ipc::Result<()> {
+    fn call(&self, cmd: Op, out: &mut [u8]) -> afs_ipc::Result<OpReply> {
         let mut state = self.state.lock();
-        match cmd {
-            Op::Write { len, .. } if len > 0 => {
-                // Payload follows via `send_data` under the same op lock.
-                state.pending_write = Some(cmd);
-                Ok(())
+        let (reply, data) = match cmd {
+            Op::Read { offset, len } => self.demand_read(&mut state, offset, len)?,
+            op => self.sync_roundtrip(&mut state, op)?,
+        };
+        // More bytes than `out` holds: the reply goes back without them,
+        // for the handle to reject.
+        if let Some(data) = data {
+            if let Some(dest) = out.get_mut(..data.len()) {
+                dest.copy_from_slice(&data);
             }
-            Op::Write { offset, .. } => self.stage_write(&mut state, offset, Vec::new()),
-            Op::Read { offset, len } => self.demand_read(&mut state, offset, len),
-            op => self.sync_roundtrip(&mut state, op),
         }
+        Ok(reply)
     }
+}
 
-    fn recv_reply(&self) -> afs_ipc::Result<OpReply> {
-        self.state.lock().reply.take().ok_or(IpcError::Closed)
-    }
-
-    fn send_data(&self, data: &[u8]) -> afs_ipc::Result<()> {
-        let mut state = self.state.lock();
-        match state.pending_write.take() {
-            Some(Op::Write { offset, .. }) => self.stage_write(&mut state, offset, data.to_vec()),
-            _ => Err(IpcError::Closed),
-        }
-    }
-
-    fn recv_data(&self, buf: &mut [u8]) -> afs_ipc::Result<usize> {
-        self.recv_data_exact(buf)
-    }
-
-    fn recv_data_exact(&self, buf: &mut [u8]) -> afs_ipc::Result<usize> {
-        let mut state = self.state.lock();
-        let available = state.outbound.len() - state.outbound_pos;
-        let n = buf.len().min(available);
-        let start = state.outbound_pos;
-        buf[..n].copy_from_slice(&state.outbound[start..start + n]);
-        state.outbound_pos += n;
-        if state.outbound_pos == state.outbound.len() {
-            state.outbound = Vec::new();
-            state.outbound_pos = 0;
-        }
-        Ok(n)
-    }
-
-    fn shutdown(&self) {
-        let mut state = self.state.lock();
-        let batch = std::mem::take(&mut state.staged);
+impl Drop for RingDriver {
+    /// Acknowledged writes still staged go to the sentinel: dropping the
+    /// handle without a close must not lose them.
+    fn drop(&mut self) {
+        let batch = std::mem::take(&mut self.state.get_mut().staged);
         let _ = self.submit(batch);
-        self.ring.shutdown();
     }
 }
 

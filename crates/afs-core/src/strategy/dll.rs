@@ -11,14 +11,16 @@
 //! Rather than a bespoke handle, the strategy implements the
 //! [`Transport`] protocol *inline*: each [`InlineSession`] serves a
 //! command through the same [`SentinelCore::serve`] every other dispatch
-//! path uses, at the moment the shared
-//! [`StrategyHandle`](super::handle::StrategyHandle) "sends" it. Its
-//! [`CrossingKind::None`] boundary makes the handle charge zero
+//! path uses, within the shared
+//! [`StrategyHandle`](super::handle::StrategyHandle)'s `post` or `call`.
+//! Its [`CrossingKind::None`] boundary makes the handle charge zero
 //! crossings, so the §4.4 cost profile falls out of the wiring.
 //!
 //! One [`InlineShared`] core serves every session of a file. A private
 //! (`share=off`) open is a core with exactly one session, built without
-//! session gauges so it never counts as an attach.
+//! session gauges so it never counts as an attach. A core dropped
+//! without its terminal close runs the close hook anyway, as the wire
+//! sentinels do when their application side vanishes.
 
 use std::sync::{Arc, Weak};
 
@@ -33,8 +35,10 @@ use crate::ctx::SentinelCtx;
 use crate::logic::SentinelLogic;
 use crate::strategy::executor::TaskDone;
 use crate::strategy::handle::StrategyHandle;
-use crate::strategy::mux::SharedSentinel;
-use crate::strategy::{to_win32, ActiveOps, Instruments, Op, OpReply, SentinelCore, Session};
+use crate::strategy::mux::{OpMux, SharedSentinel};
+use crate::strategy::{
+    to_win32, ActiveOps, Instruments, Op, OpReply, SentinelCore, Served, Session,
+};
 
 /// The sentinel core shared by every session of one DLL-only sentinel.
 /// All execution serialises on this lock — the §4.4 analogue of the wire
@@ -46,8 +50,8 @@ struct InlineCore {
 }
 
 /// The §4.4 sentinel: one core, one or more sessions calling into it
-/// inline. Per-session state (staged reply bytes, the parked write, the
-/// sticky error) lives in each [`InlineSession`].
+/// inline. Per-session state (the sticky error, the span scope) lives in
+/// each [`InlineSession`].
 pub(crate) struct InlineShared {
     core: Mutex<InlineCore>,
     pool: Arc<BufferPool>,
@@ -59,114 +63,72 @@ pub(crate) struct InlineShared {
     weak_self: Weak<InlineShared>,
 }
 
-/// What one session's handle receives next: the `Write` waiting for its
-/// payload (the protocol sends the command first, then the bytes), the
-/// reply, and the read bytes still to drain.
-#[derive(Default)]
-struct Staging {
-    pending_write: Option<Op>,
-    reply: Option<OpReply>,
-    outbound: Vec<u8>,
-    outbound_pos: usize,
-}
-
 /// One session's inline transport over the shared core.
 struct InlineSession {
     shared: Arc<InlineShared>,
-    staging: Mutex<Staging>,
     session: Session,
 }
 
 impl InlineSession {
-    /// Serves `op` under the core lock — failing once the sentinel has
-    /// terminally closed — and stages whatever it owes the handle.
-    fn serve(&self, op: Op, payload: &[u8]) -> Result<(), IpcError> {
+    /// Serves `op` under the core lock, failing once the sentinel has
+    /// terminally closed.
+    fn serve(&self, op: Op, payload: &[u8]) -> Result<Served, IpcError> {
         let mut core = self.shared.core.lock();
         if core.closed {
             return Err(IpcError::Closed);
         }
-        let served = if matches!(op, Op::Close) {
-            core.live -= 1;
-            if let Some(gauges) = &self.shared.gauges {
-                gauges.detached();
-            }
-            if core.live > 0 {
-                // The sentinel stays up for the other sessions; this
-                // session's close is acknowledged locally.
-                Some((OpReply::Done, None))
-            } else {
-                // Last session out runs the real close hook.
-                core.closed = true;
-                core.core.serve(&self.session, op, payload)
-            }
-        } else {
-            core.core.serve(&self.session, op, payload)
-        };
-        drop(core);
-        if let Some((reply, data)) = served {
-            let mut staging = self.staging.lock();
-            staging.reply = Some(reply);
-            let drained = std::mem::replace(&mut staging.outbound, data.unwrap_or_default());
-            staging.outbound_pos = 0;
-            self.shared.pool.put(drained);
+        if !matches!(op, Op::Close) {
+            return Ok(core.core.serve(&self.session, op, payload));
         }
-        Ok(())
+        core.live -= 1;
+        if let Some(gauges) = &self.shared.gauges {
+            gauges.detached();
+        }
+        if core.live > 0 {
+            // The sentinel stays up for the other sessions; this
+            // session's close is acknowledged locally.
+            return Ok(Some((OpReply::Done, None)));
+        }
+        // Last session out runs the real close hook.
+        core.closed = true;
+        Ok(core.core.serve(&self.session, op, payload))
     }
 }
 
-impl Transport for InlineSession {
-    type Cmd = Op;
-    type Reply = OpReply;
-
+impl Transport<OpMux> for InlineSession {
     fn crossing(&self) -> CrossingKind {
         CrossingKind::None
     }
 
-    fn supports_control(&self) -> bool {
-        true
+    fn post(&self, op: Op, payload: &[u8]) -> Result<(), IpcError> {
+        self.serve(op, payload).map(drop)
     }
 
-    fn send_cmd(&self, op: Op) -> Result<(), IpcError> {
-        match op {
-            Op::Write { len, .. } if len > 0 => {
-                self.staging.lock().pending_write = Some(op);
-                Ok(())
+    fn call(&self, op: Op, out: &mut [u8]) -> Result<OpReply, IpcError> {
+        let (reply, data) = self.serve(op, &[])?.ok_or(IpcError::Closed)?;
+        if let Some(data) = data {
+            // More bytes than `out` holds: the reply goes back without
+            // them, for the handle to reject.
+            if let Some(dest) = out.get_mut(..data.len()) {
+                dest.copy_from_slice(&data);
             }
-            op => self.serve(op, &[]),
+            self.shared.pool.put(data);
+        }
+        Ok(reply)
+    }
+}
+
+impl Drop for InlineShared {
+    /// Every handle is gone but no terminal close ran: the application
+    /// vanished, so run the close hook now, like the wire sentinels'
+    /// [`SentinelCore::abandon`] epilogue. Whatever the sessions wrote
+    /// is then committed rather than lost.
+    fn drop(&mut self) {
+        let core = self.core.get_mut();
+        if !core.closed {
+            core.core.abandon();
         }
     }
-
-    fn recv_reply(&self) -> Result<OpReply, IpcError> {
-        self.staging.lock().reply.take().ok_or(IpcError::Closed)
-    }
-
-    fn send_data(&self, data: &[u8]) -> Result<(), IpcError> {
-        let Some(op) = self.staging.lock().pending_write.take() else {
-            return Err(IpcError::BrokenPipe);
-        };
-        self.serve(op, data)
-    }
-
-    fn recv_data(&self, buf: &mut [u8]) -> Result<usize, IpcError> {
-        self.recv_data_exact(buf)
-    }
-
-    fn recv_data_exact(&self, buf: &mut [u8]) -> Result<usize, IpcError> {
-        let mut staging = self.staging.lock();
-        let available = staging.outbound.len() - staging.outbound_pos;
-        let take = buf.len().min(available);
-        let from = staging.outbound_pos;
-        buf[..take].copy_from_slice(&staging.outbound[from..from + take]);
-        staging.outbound_pos += take;
-        if staging.outbound_pos >= staging.outbound.len() {
-            let drained = std::mem::take(&mut staging.outbound);
-            staging.outbound_pos = 0;
-            self.shared.pool.put(drained);
-        }
-        Ok(take)
-    }
-
-    fn shutdown(&self) {}
 }
 
 impl SharedSentinel for InlineShared {
@@ -187,7 +149,6 @@ impl SharedSentinel for InlineShared {
         let sticky = Arc::clone(&session.sticky);
         let transport = InlineSession {
             shared: me,
-            staging: Mutex::default(),
             session,
         };
         Some(Arc::new(StrategyHandle::new(

@@ -1,12 +1,14 @@
-//! The one application-side handle behind all four strategies.
+//! The one application-side handle behind every command-carrying
+//! strategy.
 //!
 //! A [`StrategyHandle`] drives the [`Op`]/[`OpReply`] protocol over any
-//! [`Transport`]: kernel pipes plus a control channel (§4.2), shared
-//! memory plus user-level events (§4.3), the inline call path (§4.4), or —
-//! when the transport has no control lane (§4.1) — plain streaming with
-//! every command-shaped operation failing as the paper prescribes
-//! ("operations such as ReadFileScatter … cannot be implemented as there
-//! is no method of passing control information").
+//! [`Transport`] — kernel pipes plus a control channel (§4.2), shared
+//! memory plus user-level events (§4.3), the inline call path (§4.4), a
+//! multiplexed session or a batched ring — with one `post` (a write) or
+//! one `call` (everything else) per operation. The §4.1 stream has no
+//! command lane and gets its own small handle
+//! ([`StreamHandle`](super::process::StreamHandle)); both share the
+//! per-op [`OpRecorder`].
 //!
 //! Every operation is recorded in an [`OpTrace`]: virtual elapsed time,
 //! payload bytes, and the protection-domain crossings and buffer copies
@@ -27,6 +29,7 @@ use afs_winapi::{SeekMethod, Win32Error};
 
 use crate::logic::SentinelError;
 use crate::strategy::fence::PendingWrites;
+use crate::strategy::mux::OpMux;
 use crate::strategy::{reap, to_win32, ActiveOps, Op, OpObserver, OpReply, Reaper};
 
 /// Every [`OpKind`] in [`op_index`] order, for the per-op histogram cache.
@@ -52,19 +55,12 @@ fn op_index(op: OpKind) -> usize {
     }
 }
 
-/// Application-side handle: one implementation of the full `ActiveOps`
-/// surface, generic over where the sentinel lives.
-pub(crate) struct StrategyHandle<T: Transport<Cmd = Op, Reply = OpReply>> {
-    transport: T,
+/// The per-op bookkeeping every application-side handle shares: the
+/// trace record, the SLO, the strategy span and the latency histograms.
+pub(crate) struct OpRecorder {
     model: CostModel,
     trace: Arc<OpTrace>,
     strategy: &'static str,
-    pointer: Mutex<u64>,
-    op_lock: Mutex<()>,
-    sticky: Arc<Mutex<Option<SentinelError>>>,
-    reaper: Mutex<Option<Reaper>>,
-    /// Scratch buffers for scatter reassembly.
-    pool: BufferPool,
     tel: Arc<Telemetry>,
     /// Publishes the in-flight op's trace context so the sentinel task can
     /// parent (and trace) its spans to the op it is serving, no matter
@@ -74,54 +70,37 @@ pub(crate) struct StrategyHandle<T: Transport<Cmd = Op, Reply = OpReply>> {
     slo: Option<Arc<SloTracker>>,
     /// Per-(strategy, op) latency histograms, resolved once at open.
     hists: [Arc<LatencyHistogram>; 7],
-    /// In-flight write accounting for a private open of a disk-backed
-    /// file: every command waits out other opens' write-behind (see
-    /// [`crate::strategy::fence`]).
-    writes: Option<Arc<PendingWrites>>,
 }
 
-impl<T: Transport<Cmd = Op, Reply = OpReply>> StrategyHandle<T> {
+impl OpRecorder {
     pub(crate) fn new(
-        transport: T,
         model: CostModel,
         trace: Arc<OpTrace>,
         strategy: &'static str,
-        sticky: Arc<Mutex<Option<SentinelError>>>,
-        reaper: Option<Reaper>,
-        obs: OpObserver,
+        obs: &OpObserver,
     ) -> Self {
-        let hists = OP_KINDS.map(|kind| obs.tel.strategy_hist(strategy, kind.label()));
-        StrategyHandle {
-            transport,
+        OpRecorder {
+            hists: OP_KINDS.map(|kind| obs.tel.strategy_hist(strategy, kind.label())),
             model,
             trace,
             strategy,
-            pointer: Mutex::new(0),
-            op_lock: Mutex::new(()),
-            sticky,
-            reaper: Mutex::new(reaper),
-            pool: BufferPool::new(),
-            tel: obs.tel,
-            scope: obs.scope,
-            slo: obs.slo,
-            hists,
-            writes: obs.writes,
-        }
-    }
-
-    /// Before every command: lets other private opens' acknowledged
-    /// writes land first, so this op observes (or overwrites) them in the
-    /// order their `WriteFile` calls returned.
-    fn wait_for_other_writers(&self) {
-        if let Some(writes) = &self.writes {
-            writes.wait_for_others();
+            tel: Arc::clone(&obs.tel),
+            scope: Arc::clone(&obs.scope),
+            slo: obs.slo.clone(),
         }
     }
 
     /// Opens a [`Layer::Transport`] span for the wire exchange of the
     /// current op (no-op while telemetry is disabled).
-    fn transport_span(&self, name: &'static str) -> Option<SpanGuard> {
+    pub(crate) fn transport_span(&self, name: &'static str) -> Option<SpanGuard> {
         self.tel.span_tagged(Layer::Transport, name, self.strategy)
+    }
+
+    /// Charges the two switches of one round trip across `crossing`.
+    pub(crate) fn charge_round_trip(&self, crossing: CrossingKind) {
+        for _ in 0..crossing.round_trip_switches() {
+            self.model.charge(Cost::Crossing(crossing));
+        }
     }
 
     /// Runs one operation under trace: the closure returns the result plus
@@ -130,7 +109,7 @@ impl<T: Transport<Cmd = Op, Reply = OpReply>> StrategyHandle<T> {
     /// enabled it additionally opens the op's [`Layer::Strategy`] span
     /// (published through `scope` for sentinel-side parenting) and records
     /// the latency histogram for `(strategy, op)`.
-    fn traced<R>(
+    pub(crate) fn traced<R>(
         &self,
         op: OpKind,
         f: impl FnOnce() -> (Result<R, Win32Error>, u64),
@@ -173,16 +152,61 @@ impl<T: Transport<Cmd = Op, Reply = OpReply>> StrategyHandle<T> {
         }
         result
     }
+}
+
+/// Application-side handle: one implementation of the full `ActiveOps`
+/// surface, generic over where the sentinel lives.
+pub(crate) struct StrategyHandle<T: Transport<OpMux>> {
+    transport: T,
+    rec: OpRecorder,
+    pointer: Mutex<u64>,
+    op_lock: Mutex<()>,
+    sticky: Arc<Mutex<Option<SentinelError>>>,
+    reaper: Mutex<Option<Reaper>>,
+    /// Scratch buffers for scatter reassembly.
+    pool: BufferPool,
+    /// In-flight write accounting for a private open of a disk-backed
+    /// file: every command waits out other opens' write-behind (see
+    /// [`crate::strategy::fence`]).
+    writes: Option<Arc<PendingWrites>>,
+}
+
+impl<T: Transport<OpMux>> StrategyHandle<T> {
+    pub(crate) fn new(
+        transport: T,
+        model: CostModel,
+        trace: Arc<OpTrace>,
+        strategy: &'static str,
+        sticky: Arc<Mutex<Option<SentinelError>>>,
+        reaper: Option<Reaper>,
+        obs: OpObserver,
+    ) -> Self {
+        StrategyHandle {
+            transport,
+            rec: OpRecorder::new(model, trace, strategy, &obs),
+            pointer: Mutex::new(0),
+            op_lock: Mutex::new(()),
+            sticky,
+            reaper: Mutex::new(reaper),
+            pool: BufferPool::new(),
+            writes: obs.writes,
+        }
+    }
+
+    /// Before every command: lets other private opens' acknowledged
+    /// writes land first, so this op observes (or overwrites) them in the
+    /// order their `WriteFile` calls returned.
+    fn wait_for_other_writers(&self) {
+        if let Some(writes) = &self.writes {
+            writes.wait_for_others();
+        }
+    }
 
     fn charge_round_trip(&self) {
-        if self.transport.charges_own_crossings() {
-            // A multiplexing transport charges per transmitted frame —
-            // a coalesced write crosses nothing.
-            return;
-        }
-        let crossing = self.transport.crossing();
-        for _ in 0..crossing.round_trip_switches() {
-            self.model.charge(Cost::Crossing(crossing));
+        // A batching or multiplexing transport charges per transmitted
+        // frame — a coalesced write crosses nothing.
+        if !self.transport.charges_own_crossings() {
+            self.rec.charge_round_trip(self.transport.crossing());
         }
     }
 
@@ -193,9 +217,10 @@ impl<T: Transport<Cmd = Op, Reply = OpReply>> StrategyHandle<T> {
         }
     }
 
-    fn recv_reply(&self) -> Result<OpReply, Win32Error> {
+    /// One command round trip; reply bytes land in `out`.
+    fn call(&self, op: Op, out: &mut [u8]) -> Result<OpReply, Win32Error> {
         self.transport
-            .recv_reply()
+            .call(op, out)
             .map_err(|_| Win32Error::BrokenPipe)
     }
 
@@ -204,88 +229,43 @@ impl<T: Transport<Cmd = Op, Reply = OpReply>> StrategyHandle<T> {
     /// call [`ActiveOps::size`] once it has serialised itself).
     fn size_locked(&self) -> Result<u64, Win32Error> {
         self.wait_for_other_writers();
-        self.traced(OpKind::Size, || {
-            let _wire = self.transport_span("round-trip");
+        self.rec.traced(OpKind::Size, || {
+            let _wire = self.rec.transport_span("round-trip");
             self.charge_round_trip();
-            let r = (|| {
-                self.transport
-                    .send_cmd(Op::GetSize)
-                    .map_err(|_| Win32Error::BrokenPipe)?;
-                match self.recv_reply() {
-                    Ok(OpReply::Size(n)) => Ok(n),
-                    Ok(OpReply::Failed(e)) => Err(to_win32(&e)),
-                    _ => Err(Win32Error::BrokenPipe),
-                }
-            })();
+            let r = match self.call(Op::GetSize, &mut []) {
+                Ok(OpReply::Size(n)) => Ok(n),
+                Ok(OpReply::Failed(e)) => Err(to_win32(&e)),
+                _ => Err(Win32Error::BrokenPipe),
+            };
             (r, 0)
         })
     }
 
-    /// The command-protocol read shared by `read` and `read_scatter`:
-    /// sends `op`, receives the reply, and pulls `n` bytes into the
-    /// buffer `fill` returns for them.
-    fn command_read(
+    /// A traced read at the file pointer, shared by `read` and
+    /// `read_scatter`: `op` builds the command from the pointer, the
+    /// reply bytes land in `out`, and the pointer advances by what was
+    /// read. Over-delivery is a protocol violation: accepting it would
+    /// silently drop the excess bytes while advancing the pointer past
+    /// what the caller saw, so the op fails (the transport has drained
+    /// the wire).
+    fn traced_read(
         &self,
-        op: Op,
-        mut fill: impl FnMut(usize) -> Result<usize, Win32Error>,
+        kind: OpKind,
+        op: impl FnOnce(u64) -> Op,
+        out: &mut [u8],
     ) -> Result<usize, Win32Error> {
-        self.wait_for_other_writers();
-        self.transport
-            .send_cmd(op)
-            .map_err(|_| Win32Error::BrokenPipe)?;
-        match self.recv_reply()? {
-            OpReply::Read { n } => fill(n as usize),
-            OpReply::Failed(e) => Err(to_win32(&e)),
-            _ => Err(Win32Error::BrokenPipe),
-        }
-    }
-}
-
-impl<T: Transport<Cmd = Op, Reply = OpReply>> ActiveOps for StrategyHandle<T> {
-    fn read(&self, buf: &mut [u8]) -> Result<usize, Win32Error> {
-        if !self.transport.supports_control() {
-            // §4.1 streaming: no commands, no pointer, no op serialisation
-            // (a blocked read must not stall a concurrent write).
-            return self.traced(OpKind::Read, || {
-                let _wire = self.transport_span("stream-recv");
-                self.charge_round_trip();
-                let r = self
-                    .transport
-                    .recv_data(buf)
-                    .map_err(|_| Win32Error::BrokenPipe);
-                let n = *r.as_ref().unwrap_or(&0) as u64;
-                (r, n)
-            });
-        }
         let _op = self.op_lock.lock();
         self.check_sticky()?;
-        self.traced(OpKind::Read, || {
-            let _wire = self.transport_span("round-trip");
+        self.rec.traced(kind, || {
+            let _wire = self.rec.transport_span("round-trip");
             self.charge_round_trip();
             let mut pointer = self.pointer.lock();
-            let result = self.command_read(
-                Op::Read {
-                    offset: *pointer,
-                    len: buf.len() as u32,
-                },
-                |n| {
-                    if n > buf.len() {
-                        // Over-delivery is a protocol violation (same rule
-                        // as `read_scatter`): drain the wire so a shared
-                        // transport stays framed, then fail the op.
-                        let mut scratch = self.pool.take(n);
-                        let _ = self.transport.recv_data_exact(&mut scratch);
-                        self.pool.put(scratch);
-                        return Err(Win32Error::BrokenPipe);
-                    }
-                    if n > 0 {
-                        self.transport
-                            .recv_data_exact(&mut buf[..n])
-                            .map_err(|_| Win32Error::BrokenPipe)?;
-                    }
-                    Ok(n)
-                },
-            );
+            self.wait_for_other_writers();
+            let result = match self.call(op(*pointer), out) {
+                Ok(OpReply::Read { n }) if n as usize <= out.len() => Ok(n as usize),
+                Ok(OpReply::Failed(e)) => Err(to_win32(&e)),
+                _ => Err(Win32Error::BrokenPipe),
+            };
             if let Ok(n) = result {
                 *pointer += n as u64;
             }
@@ -293,45 +273,31 @@ impl<T: Transport<Cmd = Op, Reply = OpReply>> ActiveOps for StrategyHandle<T> {
             (result, n)
         })
     }
+}
+
+impl<T: Transport<OpMux>> ActiveOps for StrategyHandle<T> {
+    fn read(&self, buf: &mut [u8]) -> Result<usize, Win32Error> {
+        let len = buf.len() as u32;
+        self.traced_read(OpKind::Read, |offset| Op::Read { offset, len }, buf)
+    }
 
     fn write(&self, data: &[u8]) -> Result<usize, Win32Error> {
-        if !self.transport.supports_control() {
-            return self.traced(OpKind::Write, || {
-                let _wire = self.transport_span("stream-send");
-                self.charge_round_trip();
-                let r = self
-                    .transport
-                    .send_data(data)
-                    .map(|()| data.len())
-                    .map_err(|_| Win32Error::BrokenPipe);
-                (r, data.len() as u64)
-            });
-        }
         let _op = self.op_lock.lock();
         self.check_sticky()?;
         self.wait_for_other_writers();
-        self.traced(OpKind::Write, || {
-            let _wire = self.transport_span("send");
+        self.rec.traced(OpKind::Write, || {
+            let _wire = self.rec.transport_span("send");
             self.charge_round_trip();
             let mut pointer = self.pointer.lock();
             if let Some(writes) = &self.writes {
                 writes.issued();
             }
             let result = (|| {
-                let sent = self
-                    .transport
-                    .send_cmd(Op::Write {
-                        offset: *pointer,
-                        len: data.len() as u32,
-                    })
-                    .and_then(|()| {
-                        if data.is_empty() {
-                            Ok(())
-                        } else {
-                            self.transport.send_data(data)
-                        }
-                    });
-                if sent.is_err() {
+                let cmd = Op::Write {
+                    offset: *pointer,
+                    len: data.len() as u32,
+                };
+                if self.transport.post(cmd, data).is_err() {
                     // The write never reached a live sentinel.
                     if let Some(writes) = &self.writes {
                         writes.settle();
@@ -352,10 +318,6 @@ impl<T: Transport<Cmd = Op, Reply = OpReply>> ActiveOps for StrategyHandle<T> {
     }
 
     fn seek(&self, offset: i64, method: SeekMethod) -> Result<u64, Win32Error> {
-        if !self.transport.supports_control() {
-            // "seek in Unix … cannot be implemented" (§4.1).
-            return Err(Win32Error::CallNotImplemented);
-        }
         // Seeks are resolved application-side: commands carry absolute
         // offsets, so moving the pointer costs nothing remote — except
         // End-relative seeks, which need the size. The whole resolve-and-
@@ -382,98 +344,51 @@ impl<T: Transport<Cmd = Op, Reply = OpReply>> ActiveOps for StrategyHandle<T> {
     }
 
     fn size(&self) -> Result<u64, Win32Error> {
-        if !self.transport.supports_control() {
-            // "GetFileSize cannot be implemented" (§4.1).
-            return Err(Win32Error::CallNotImplemented);
-        }
         let _op = self.op_lock.lock();
         self.check_sticky()?;
         self.size_locked()
     }
 
     fn read_scatter(&self, bufs: &mut [&mut [u8]]) -> Result<usize, Win32Error> {
-        if !self.transport.supports_control() {
-            // "Operations such as ReadFileScatter … cannot be implemented"
-            // (§4.1).
-            return Err(Win32Error::CallNotImplemented);
-        }
-        let _op = self.op_lock.lock();
-        self.check_sticky()?;
-        self.traced(OpKind::ReadScatter, || {
-            let _wire = self.transport_span("round-trip");
-            self.charge_round_trip();
-            let mut pointer = self.pointer.lock();
-            let lens: Vec<u32> = bufs.iter().map(|b| b.len() as u32).collect();
-            let requested: usize = bufs.iter().map(|b| b.len()).sum();
-            let result = self.command_read(
-                Op::ReadScatter {
-                    offset: *pointer,
-                    lens,
-                },
-                |n| {
-                    if n == 0 {
-                        return Ok(0);
-                    }
-                    // The sentinel produced one contiguous message; pull
-                    // it into pooled scratch, then deal it out to the
-                    // caller's buffers in order. The deal-out is pointer
-                    // shuffling inside the application, not a transfer, so
-                    // it is not charged.
-                    let mut scratch = self.pool.take(n);
-                    self.transport
-                        .recv_data_exact(&mut scratch)
-                        .map_err(|_| Win32Error::BrokenPipe)?;
-                    if n > requested {
-                        // Over-delivery is a protocol violation: accepting
-                        // it would silently drop the excess bytes while
-                        // advancing the pointer past what the caller saw.
-                        // The wire is drained (scratch above), the op fails.
-                        self.pool.put(scratch);
-                        return Err(Win32Error::BrokenPipe);
-                    }
-                    let mut offset = 0;
-                    for buf in bufs.iter_mut() {
-                        if offset >= n {
-                            break;
-                        }
-                        let take = buf.len().min(n - offset);
-                        buf[..take].copy_from_slice(&scratch[offset..offset + take]);
-                        offset += take;
-                    }
-                    self.pool.put(scratch);
-                    Ok(n)
-                },
-            );
-            if let Ok(n) = result {
-                *pointer += n as u64;
+        let lens: Vec<u32> = bufs.iter().map(|b| b.len() as u32).collect();
+        let requested: usize = bufs.iter().map(|b| b.len()).sum();
+        // The sentinel produces one contiguous message; it lands in pooled
+        // scratch and is dealt out to the caller's buffers in order. The
+        // deal-out is pointer shuffling inside the application, not a
+        // transfer, so it is not charged.
+        let mut scratch = self.pool.take(requested);
+        let result = self.traced_read(
+            OpKind::ReadScatter,
+            |offset| Op::ReadScatter { offset, lens },
+            &mut scratch,
+        );
+        if let Ok(n) = result {
+            let mut dealt = 0;
+            for buf in bufs.iter_mut() {
+                if dealt >= n {
+                    break;
+                }
+                let take = buf.len().min(n - dealt);
+                buf[..take].copy_from_slice(&scratch[dealt..dealt + take]);
+                dealt += take;
             }
-            let n = *result.as_ref().unwrap_or(&0) as u64;
-            (result, n)
-        })
+        }
+        self.pool.put(scratch);
+        result
     }
 
     fn control(&self, code: u32, payload: &[u8]) -> Result<Vec<u8>, Win32Error> {
-        if !self.transport.supports_control() {
-            // "There is no method of passing control information" (§4.1).
-            return Err(Win32Error::CallNotImplemented);
-        }
         let _op = self.op_lock.lock();
         self.check_sticky()?;
         self.wait_for_other_writers();
-        self.traced(OpKind::Control, || {
-            let _wire = self.transport_span("round-trip");
+        self.rec.traced(OpKind::Control, || {
+            let _wire = self.rec.transport_span("round-trip");
             self.charge_round_trip();
-            if self
-                .transport
-                .send_cmd(Op::Control {
-                    code,
-                    payload: payload.to_vec(),
-                })
-                .is_err()
-            {
-                return (Err(Win32Error::BrokenPipe), payload.len() as u64);
-            }
-            match self.recv_reply() {
+            let op = Op::Control {
+                code,
+                payload: payload.to_vec(),
+            };
+            match self.call(op, &mut []) {
                 Ok(OpReply::Control { payload: response }) => {
                     let bytes = (payload.len() + response.len()) as u64;
                     (Ok(response), bytes)
@@ -485,52 +400,30 @@ impl<T: Transport<Cmd = Op, Reply = OpReply>> ActiveOps for StrategyHandle<T> {
     }
 
     fn flush(&self) -> Result<(), Win32Error> {
-        if !self.transport.supports_control() {
-            // Nothing to command; the stream itself is the flush.
-            return Ok(());
-        }
         let _op = self.op_lock.lock();
         self.check_sticky()?;
         self.wait_for_other_writers();
-        self.traced(OpKind::Flush, || {
-            let _wire = self.transport_span("round-trip");
+        self.rec.traced(OpKind::Flush, || {
+            let _wire = self.rec.transport_span("round-trip");
             self.charge_round_trip();
-            let r = (|| {
-                self.transport
-                    .send_cmd(Op::Flush)
-                    .map_err(|_| Win32Error::BrokenPipe)?;
-                match self.recv_reply()? {
-                    OpReply::Done => Ok(()),
-                    OpReply::Failed(e) => Err(to_win32(&e)),
-                    _ => Err(Win32Error::BrokenPipe),
-                }
-            })();
+            let r = match self.call(Op::Flush, &mut []) {
+                Ok(OpReply::Done) => Ok(()),
+                Ok(OpReply::Failed(e)) => Err(to_win32(&e)),
+                _ => Err(Win32Error::BrokenPipe),
+            };
             (r, 0)
         })
     }
 
     fn close(&self) -> Result<(), Win32Error> {
-        if !self.transport.supports_control() {
-            return self.traced(OpKind::Close, || {
-                // "The CloseHandle call just shuts down the created pipes"
-                // (Appendix A.2); the sentinel sees EOF, finishes, and is
-                // reaped.
-                let _wire = self.transport_span("shutdown");
-                self.transport.shutdown();
-                reap(&self.reaper);
-                (Ok(()), 0)
-            });
-        }
-        let result = self.traced(OpKind::Close, || {
+        let result = self.rec.traced(OpKind::Close, || {
             let _op = self.op_lock.lock();
-            let _wire = self.transport_span("round-trip");
+            let _wire = self.rec.transport_span("round-trip");
             self.charge_round_trip();
-            let r = match self.transport.send_cmd(Op::Close) {
-                Ok(()) => match self.recv_reply() {
-                    Ok(OpReply::Done) => Ok(()),
-                    Ok(OpReply::Failed(e)) => Err(to_win32(&e)),
-                    _ => Err(Win32Error::BrokenPipe),
-                },
+            let r = match self.transport.call(Op::Close, &mut []) {
+                Ok(OpReply::Done) => Ok(()),
+                Ok(OpReply::Failed(e)) => Err(to_win32(&e)),
+                Ok(_) => Err(Win32Error::BrokenPipe),
                 // Sentinel already gone; close is idempotent.
                 Err(_) => Ok(()),
             };
@@ -547,48 +440,27 @@ mod tests {
     use super::*;
     use afs_sim::HardwareProfile;
 
-    /// A scripted wire that replies `Read { n }` to every command and
-    /// serves however many payload bytes are asked for — a sentinel that
-    /// delivers more than the caller requested.
+    /// A scripted wire that replies `Read { n }` to every call and fills
+    /// as much of the destination as the reply announces — a sentinel
+    /// that may deliver more than the caller requested.
     struct OverDeliver {
         n: u32,
     }
 
-    impl Transport for OverDeliver {
-        type Cmd = Op;
-        type Reply = OpReply;
-
+    impl Transport<OpMux> for OverDeliver {
         fn crossing(&self) -> CrossingKind {
             CrossingKind::InterProcess
         }
 
-        fn supports_control(&self) -> bool {
-            true
-        }
-
-        fn send_cmd(&self, _cmd: Op) -> afs_ipc::Result<()> {
+        fn post(&self, _cmd: Op, _payload: &[u8]) -> afs_ipc::Result<()> {
             Ok(())
         }
 
-        fn recv_reply(&self) -> afs_ipc::Result<OpReply> {
+        fn call(&self, _cmd: Op, out: &mut [u8]) -> afs_ipc::Result<OpReply> {
+            let n = (self.n as usize).min(out.len());
+            out[..n].fill(0xAB);
             Ok(OpReply::Read { n: self.n })
         }
-
-        fn send_data(&self, _data: &[u8]) -> afs_ipc::Result<()> {
-            Ok(())
-        }
-
-        fn recv_data(&self, buf: &mut [u8]) -> afs_ipc::Result<usize> {
-            buf.fill(0xAB);
-            Ok(buf.len())
-        }
-
-        fn recv_data_exact(&self, buf: &mut [u8]) -> afs_ipc::Result<usize> {
-            buf.fill(0xAB);
-            Ok(buf.len())
-        }
-
-        fn shutdown(&self) {}
     }
 
     fn handle_over(n: u32) -> StrategyHandle<OverDeliver> {

@@ -23,9 +23,10 @@
 //! `RingDispatchTask` over a submission ring — all three on the sharded
 //! [`executor::SentinelExecutor`] for §4.2/§4.3 — or an inline call for
 //! §4.4. One generic [`StrategyHandle`](handle::StrategyHandle) drives the
-//! application side over an [`afs_ipc::Transport`]. Per-command payload
-//! staging goes through an [`afs_ipc::BufferPool`] so a settled sentinel
-//! allocates nothing per operation.
+//! application side over an [`afs_ipc::Transport`], one `post` or `call`
+//! per op; §4.1's commandless pipe pair has its own `StreamHandle`.
+//! Per-command payload staging goes through an [`afs_ipc::BufferPool`] so
+//! a settled sentinel allocates nothing per operation.
 
 pub(crate) mod batch;
 pub mod control;

@@ -96,7 +96,7 @@ impl MuxProtocol for OpMux {
 
 type Wire = PairTransport<Framed<Op>, Framed<OpReply>>;
 type WirePort = PairPort<Framed<Op>, Framed<OpReply>>;
-type OpHub = MuxHub<OpMux, Wire>;
+type OpHub = MuxHub<OpMux>;
 
 /// Each session's sentinel-side state, registered at attach so the
 /// dispatch loop can park write-behind failures and parent spans

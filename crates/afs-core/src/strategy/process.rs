@@ -9,8 +9,9 @@
 //! Unix) and GetFileSize cannot be implemented as there is no method of
 //! passing control information", and the client stubs drop them "with an
 //! appropriate return code" (Appendix A.2). The wiring is
-//! [`StreamTransport`], whose missing control lane is exactly what makes
-//! the shared [`StrategyHandle`] fail those operations.
+//! [`StreamTransport`], and the application side is a `StreamHandle`:
+//! reads and writes stream, the command-shaped operations fail, and every
+//! op is recorded by the same `OpRecorder` the command strategies use.
 //!
 //! Two programming models are supported, as in the paper:
 //!
@@ -20,23 +21,21 @@
 //!   threads, one per direction).
 //! * **Adapted** — any [`SentinelLogic`] is pumped through the pipes by a
 //!   generated two-thread sentinel, the "automatic translation" of §5.
-//!
-//! [`StrategyHandle`]: crate::strategy::handle::StrategyHandle
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use afs_ipc::{PipeReader, PipeWriter, StreamTransport};
-use afs_sim::{CostModel, OpTrace};
+use afs_sim::{CostModel, CrossingKind, OpKind, OpTrace};
 use afs_telemetry::SpanScope;
-use afs_winapi::Win32Error;
+use afs_winapi::{SeekMethod, Win32Error};
 
 use crate::ctx::SentinelCtx;
 use crate::logic::SentinelLogic;
-use crate::strategy::handle::StrategyHandle;
+use crate::strategy::handle::OpRecorder;
 use crate::strategy::{
-    spawn_sentinel, to_win32, ActiveOps, Instruments, Op, OpReply, Reaper, SentinelSide,
+    reap, spawn_sentinel, to_win32, ActiveOps, Instruments, Reaper, SentinelSide,
 };
 
 /// Buffer size of the Figure 2 pump loops (`char buf[1024]`).
@@ -62,6 +61,78 @@ pub trait RawProcessSentinel: Send {
     fn run(&mut self, io: ProcessIo);
 }
 
+/// The §4.1 application side: bytes stream through the pipe pair, and
+/// everything needing a command fails as the paper prescribes. There is
+/// no op lock: a blocked read must not stall a concurrent write.
+pub(crate) struct StreamHandle {
+    transport: StreamTransport,
+    rec: OpRecorder,
+    reaper: Mutex<Option<Reaper>>,
+}
+
+impl ActiveOps for StreamHandle {
+    fn read(&self, buf: &mut [u8]) -> Result<usize, Win32Error> {
+        self.rec.traced(OpKind::Read, || {
+            let _wire = self.rec.transport_span("stream-recv");
+            self.rec.charge_round_trip(CrossingKind::InterProcess);
+            let r = self.transport.recv(buf).map_err(|_| Win32Error::BrokenPipe);
+            let n = *r.as_ref().unwrap_or(&0) as u64;
+            (r, n)
+        })
+    }
+
+    fn write(&self, data: &[u8]) -> Result<usize, Win32Error> {
+        self.rec.traced(OpKind::Write, || {
+            let _wire = self.rec.transport_span("stream-send");
+            self.rec.charge_round_trip(CrossingKind::InterProcess);
+            let r = self
+                .transport
+                .send(data)
+                .map(|()| data.len())
+                .map_err(|_| Win32Error::BrokenPipe);
+            (r, data.len() as u64)
+        })
+    }
+
+    /// "seek in Unix … cannot be implemented" (§4.1).
+    fn seek(&self, _offset: i64, _method: SeekMethod) -> Result<u64, Win32Error> {
+        Err(Win32Error::CallNotImplemented)
+    }
+
+    /// "GetFileSize cannot be implemented" (§4.1).
+    fn size(&self) -> Result<u64, Win32Error> {
+        Err(Win32Error::CallNotImplemented)
+    }
+
+    /// "Operations such as ReadFileScatter … cannot be implemented"
+    /// (§4.1).
+    fn read_scatter(&self, _bufs: &mut [&mut [u8]]) -> Result<usize, Win32Error> {
+        Err(Win32Error::CallNotImplemented)
+    }
+
+    /// "There is no method of passing control information" (§4.1).
+    fn control(&self, _code: u32, _payload: &[u8]) -> Result<Vec<u8>, Win32Error> {
+        Err(Win32Error::CallNotImplemented)
+    }
+
+    /// Nothing to command; the stream itself is the flush.
+    fn flush(&self) -> Result<(), Win32Error> {
+        Ok(())
+    }
+
+    fn close(&self) -> Result<(), Win32Error> {
+        self.rec.traced(OpKind::Close, || {
+            // "The CloseHandle call just shuts down the created pipes"
+            // (Appendix A.2); the sentinel sees EOF, finishes, and is
+            // reaped.
+            let _wire = self.rec.transport_span("shutdown");
+            self.transport.shutdown();
+            reap(&self.reaper);
+            (Ok(()), 0)
+        })
+    }
+}
+
 fn wire(
     model: CostModel,
     trace: Arc<OpTrace>,
@@ -69,21 +140,18 @@ fn wire(
     sentinel: impl FnOnce(PipeReader, PipeWriter) + Send + 'static,
 ) -> Arc<dyn ActiveOps> {
     let (transport, sentinel_stdin, sentinel_stdout) =
-        StreamTransport::<Op, OpReply>::new_observed(model.clone(), Arc::clone(instr.tel.gauges()));
+        StreamTransport::new_observed(model.clone(), Arc::clone(instr.tel.gauges()));
     let join = spawn_sentinel("process", move || {
         sentinel(sentinel_stdin, sentinel_stdout);
     });
-    Arc::new(StrategyHandle::new(
+    let obs = instr.app_side(Arc::new(SpanScope::default()));
+    Arc::new(StreamHandle {
         transport,
-        model,
-        trace,
-        "SimpleProcess",
-        Arc::new(Mutex::new(None)),
+        rec: OpRecorder::new(model, trace, "SimpleProcess", &obs),
         // §4.1 streams have no command lane to poll, so the pump pair
         // keeps dedicated threads; the reaper joins them directly.
-        Some(Reaper::Thread(join)),
-        instr.app_side(Arc::new(SpanScope::default())),
-    ))
+        reaper: Mutex::new(Some(Reaper::Thread(join))),
+    })
 }
 
 /// Builds the simple process strategy around a hand-written sentinel.

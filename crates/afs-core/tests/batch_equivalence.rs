@@ -32,8 +32,8 @@ fn build(strategy: Strategy, backing: Backing, batch: Option<&str>) -> AfsWorld 
 /// application could observe: each op's returned value, the bytes of
 /// every read, every error, and the final regenerated file content.
 ///
-/// The script interleaves adjacent writes (coalescing candidates),
-/// sequential reads (readahead candidates), seeks, size queries, a
+/// The script interleaves adjacent writes (coalescing candidates), a
+/// zero-length write, sequential reads (readahead candidates), seeks, size queries, a
 /// scatter read, a refused control op, and short/EOF reads — every path
 /// the ring driver routes differently from the plain transport.
 fn transcript(strategy: Strategy, backing: Backing, batch: Option<&str>) -> Vec<Vec<u8>> {
@@ -55,6 +55,7 @@ fn transcript(strategy: Strategy, backing: Backing, batch: Option<&str>) -> Vec<
         // §4.1 has no control channel: the handle is a byte stream, so
         // the script is write-everything, reopen, stream it back.
         assert_eq!(api.write_file(h, b"0123456789abcdef").expect("w"), 16);
+        assert_eq!(api.write_file(h, b"").expect("empty write"), 0);
         assert_eq!(api.write_file(h, b"TAIL").expect("w2"), 4);
         api.close_handle(h).expect("close");
         let h = api
@@ -75,7 +76,15 @@ fn transcript(strategy: Strategy, backing: Backing, batch: Option<&str>) -> Vec<
     // Adjacent writes — the ring driver coalesces these into one span.
     assert_eq!(api.write_file(h, b"01234567").expect("w1"), 8);
     assert_eq!(api.write_file(h, b"89abcdef").expect("w2"), 8);
-    note("size", &api.get_file_size(h).expect("size").to_le_bytes());
+    // A zero-length write: each wire routes it its own way (a plain mux
+    // frame, an empty ring entry, an inline serve), and it must move
+    // neither the pointer nor the content.
+    assert_eq!(api.write_file(h, b"").expect("empty write"), 0);
+    let pos = api.set_file_pointer(h, 0, SeekMethod::Current);
+    assert_eq!(pos.expect("position"), 16);
+    let size = api.get_file_size(h).expect("size");
+    assert_eq!(size, 16);
+    note("size", &size.to_le_bytes());
 
     // Sequential reads from the top — readahead territory. The staged
     // writes above must be visible (they travel ahead of the demand read
@@ -204,6 +213,57 @@ fn batched_sequential_reads_cut_crossings_by_about_ring_depth() {
              is less than a {}x cut (ring depth {DEPTH})",
             DEPTH * 3 / 4
         );
+    }
+}
+
+/// A sequential writer must not pile up in application memory: adjacent
+/// writes coalesce into one ring entry only up to the mux stager's
+/// 64 KiB, so a long run of them fills the ring and submits batches
+/// before any synchronous op forces a flush, and the bytes read back
+/// exactly.
+#[test]
+fn sequential_writes_submit_batches_before_any_sync_op() {
+    const WRITES: usize = 256;
+    const BLOCK: usize = 4096;
+    for strategy in [Strategy::ProcessControl, Strategy::DllThread] {
+        let world = AfsWorld::new();
+        world
+            .install_active_file(
+                "/w.af",
+                &SentinelSpec::new("null", strategy)
+                    .backing(Backing::Memory)
+                    .with("batch", "on")
+                    .with("ring_depth", "8"),
+            )
+            .expect("install");
+        let _clock = clock::install(0);
+        let api = world.api();
+        let h = api
+            .create_file("/w.af", Access::read_write(), Disposition::OpenExisting)
+            .expect("open");
+        let expected: Vec<u8> = (0..WRITES * BLOCK).map(|i| (i % 251) as u8).collect();
+        for block in expected.chunks(BLOCK) {
+            assert_eq!(api.write_file(h, block).expect("write"), BLOCK);
+        }
+        let rg = world.telemetry().rings().snapshot();
+        assert!(
+            rg.batches >= 1 && rg.ops_submitted >= 1,
+            "{strategy:?}: {WRITES} sequential writes submitted {} batches \
+             ({} ops) before any sync op",
+            rg.batches,
+            rg.ops_submitted
+        );
+        api.set_file_pointer(h, 0, SeekMethod::Begin)
+            .expect("rewind");
+        let mut back = vec![0u8; expected.len()];
+        let mut filled = 0;
+        while filled < back.len() {
+            let n = api.read_file(h, &mut back[filled..]).expect("read back");
+            assert!(n > 0, "{strategy:?}: early end of data at {filled}");
+            filled += n;
+        }
+        assert!(back == expected, "{strategy:?}: read-back differs");
+        api.close_handle(h).expect("close");
     }
 }
 

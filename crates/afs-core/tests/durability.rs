@@ -81,33 +81,59 @@ fn assert_wal_has_no_half_record(vfs: &Vfs, path: &str) {
 
 #[test]
 fn quiesce_commits_staged_writes_of_abandoned_sessions() {
-    let vfs = Arc::new(Vfs::new());
-    {
-        let world = world_over(&vfs);
-        world
-            .install_active_file("/journal.af", &durable_spec(Strategy::DllThread))
-            .expect("install");
-        let api = world.api();
-        let h = api
-            .create_file(
-                "/journal.af",
-                Access::read_write(),
-                Disposition::OpenExisting,
-            )
-            .expect("open");
-        api.write_file(h, b"staged but never flushed")
-            .expect("write");
-        // No flush, no close: the batch is in flight when the world is
-        // torn down. Quiesce abandons the session, which must run the
-        // close hook and commit.
-        world.quiesce();
-        assert_wal_has_no_half_record(&vfs, "/journal.af");
+    // Every wire a write can sit on when its handle is dropped: a
+    // private wire, a contended shared sentinel (two opens), a batched
+    // ring, and the inline §4.4 core, shared or private.
+    let configs = [
+        (Strategy::ProcessControl, None, 1),
+        (Strategy::ProcessControl, None, 2),
+        (Strategy::ProcessControl, Some(("batch", "on")), 1),
+        (Strategy::DllThread, None, 1),
+        (Strategy::DllThread, None, 2),
+        (Strategy::DllThread, Some(("batch", "on")), 1),
+        (Strategy::DllOnly, None, 1),
+        (Strategy::DllOnly, None, 2),
+        (Strategy::DllOnly, Some(("share", "off")), 1),
+    ];
+    for (strategy, key, opens) in configs {
+        let label = format!("{strategy:?} {key:?} opens={opens}");
+        let vfs = Arc::new(Vfs::new());
+        {
+            let world = world_over(&vfs);
+            let mut spec = durable_spec(strategy);
+            if let Some((key, value)) = key {
+                spec = spec.with(key, value);
+            }
+            world
+                .install_active_file("/journal.af", &spec)
+                .expect("install");
+            let api = world.api();
+            let handles: Vec<_> = (0..opens)
+                .map(|_| {
+                    api.create_file(
+                        "/journal.af",
+                        Access::read_write(),
+                        Disposition::OpenExisting,
+                    )
+                    .expect("open")
+                })
+                .collect();
+            api.write_file(handles[0], b"staged but never flushed")
+                .expect("write");
+            // No flush, no close: the write is acknowledged but may still
+            // be staged on the application side when the world is torn
+            // down. Quiesce drops every handle, which must still deliver
+            // it, and abandons the sentinel, which must run the close
+            // hook and commit.
+            world.quiesce();
+            assert_wal_has_no_half_record(&vfs, "/journal.af");
+        }
+        let content = assert_clean_recovery(&vfs, "/journal.af");
+        assert_eq!(
+            content, b"staged but never flushed",
+            "{label}: quiesce must commit the acknowledged write"
+        );
     }
-    let content = assert_clean_recovery(&vfs, "/journal.af");
-    assert_eq!(
-        content, b"staged but never flushed",
-        "quiesce must commit the in-flight batch"
-    );
 }
 
 #[test]

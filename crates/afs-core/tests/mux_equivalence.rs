@@ -58,11 +58,18 @@ fn transcript(strategy: Strategy, share: bool) -> Vec<Vec<u8>> {
     // h2 overwrote h1's prefix; h1 keeps writing at its own pointer.
     assert_eq!(api.write_file(h1, b"beta").expect("w3"), 4);
 
+    // A zero-length write, possibly behind h1's staged batch: it returns
+    // 0 and moves neither the pointer nor the content.
+    assert_eq!(api.write_file(h1, b"").expect("empty write"), 0);
+    let pos = api.set_file_pointer(h1, 0, SeekMethod::Current);
+    assert_eq!(pos.expect("position"), 10);
+
     // Cross-session read-your-writes: h2 rewinds and must see the merged
     // image, including h1's writes that may still sit in a write batch.
     api.set_file_pointer(h2, 0, SeekMethod::Begin).expect("rw");
     let mut buf = vec![0u8; 10];
     let n = api.read_file(h2, &mut buf).expect("read h2");
+    assert_eq!(&buf[..n], b"HELLO-beta");
     note("read2", &buf[..n]);
 
     // End-relative seek on h1, then append.

@@ -16,8 +16,8 @@ pub enum IpcError {
     /// A named synchronisation object already exists with a conflicting
     /// configuration.
     AlreadyExists,
-    /// The operation is not supported on this transport (e.g. sending a
-    /// command over the bare pipe pair of §4.1).
+    /// The operation is not supported on this transport (e.g. posting a
+    /// command that owes a reply to the batched ring).
     Unsupported,
 }
 

@@ -23,11 +23,12 @@
 //!   multiple sentinels on the same active file use to synchronise
 //!   "amongst themselves in a program-dependent fashion" (§2.2).
 //!
-//! On top of the primitives, [`transport::Transport`] packages one
-//! strategy's complete wiring (typed command/reply lanes plus a data lane)
-//! behind a single trait, [`ring::RingPair`] adds io_uring-style
-//! submission/completion rings that cross the boundary once per *batch*
-//! instead of once per op, and [`pool::BufferPool`] recycles the staging
+//! On top of the primitives, [`transport::Transport`] packages the
+//! application side of one strategy's wiring behind a call-shaped trait
+//! (one `post` per write-behind write, one `call` per other operation),
+//! [`ring::RingPair`] adds io_uring-style submission/completion rings
+//! that cross the boundary once per *batch* instead of once per op, and
+//! [`pool::BufferPool`] recycles the staging
 //! buffers all of them use, so the hot path settles into a steady state
 //! with no per-operation allocation. Every blocking wait on the
 //! application↔sentinel path spins briefly before it parks

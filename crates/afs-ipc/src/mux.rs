@@ -20,6 +20,10 @@
 //! it how many payload bytes follow a command or reply on the data lane,
 //! which command is the terminal close, and when two payload-carrying
 //! commands form one contiguous transfer.
+//!
+//! A session dropped without its close detaches: the hub flushes every
+//! staged write to the sentinel before the session leaves, so a write it
+//! acknowledged is never lost with the session.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -31,7 +35,7 @@ use afs_sim::{clock, Cost, CostModel, CrossingKind, SimTime};
 use afs_telemetry::SessionGauges;
 
 use crate::pool::BufferPool;
-use crate::{handoff, IpcError, Result, Transport};
+use crate::{handoff, IpcError, PairTransport, Result, Transport};
 
 /// Writes staged per session before a forced flush; bounds both memory
 /// and the latency outlier of the flush-carrying operation.
@@ -46,10 +50,10 @@ pub struct Framed<T> {
     pub body: T,
 }
 
-/// What the hub must know about the protocol it frames. The protocol
-/// types themselves live above this crate (the core crate's `Op`/
-/// `OpReply`); this trait carries just the wire-shape facts the hub
-/// needs to route payload bytes and synthesise local close acks.
+/// The wire-shape facts of a command protocol: what a [`Transport`]
+/// needs to route reply bytes, and what the hub needs to frame sessions
+/// and synthesise local close acks. The protocol types themselves live
+/// above this crate (the core crate's `Op`/`OpReply`).
 pub trait MuxProtocol: Send + Sync + 'static {
     /// Command type carried app → sentinel.
     type Cmd: Send + 'static;
@@ -102,14 +106,14 @@ struct RecvState<P: MuxProtocol> {
     dead: bool,
 }
 
+/// The wire a hub multiplexes: a pair wiring carrying framed commands
+/// and replies.
+type Wire<P> = PairTransport<Framed<<P as MuxProtocol>::Cmd>, Framed<<P as MuxProtocol>::Reply>>;
+
 /// The application-side multiplexer: owns the single underlying
 /// transport and hands out per-session [`MuxSession`] transports.
-pub struct MuxHub<P, T>
-where
-    P: MuxProtocol,
-    T: Transport<Cmd = Framed<P::Cmd>, Reply = Framed<P::Reply>>,
-{
-    under: T,
+pub struct MuxHub<P: MuxProtocol> {
+    under: Wire<P>,
     model: CostModel,
     pool: BufferPool,
     send: Mutex<SendState<P>>,
@@ -128,13 +132,9 @@ where
 /// the sentinel has fully terminated and yields its final virtual time.
 pub type SentinelReaper = Box<dyn FnOnce() -> SimTime + Send>;
 
-impl<P, T> MuxHub<P, T>
-where
-    P: MuxProtocol,
-    T: Transport<Cmd = Framed<P::Cmd>, Reply = Framed<P::Reply>>,
-{
+impl<P: MuxProtocol> MuxHub<P> {
     /// Wraps `under`, charging crossings and staging copies to `model`.
-    pub fn new(under: T, model: CostModel, gauges: Option<Arc<SessionGauges>>) -> Arc<Self> {
+    pub fn new(under: Wire<P>, model: CostModel, gauges: Option<Arc<SessionGauges>>) -> Arc<Self> {
         Arc::new(MuxHub {
             under,
             model,
@@ -163,7 +163,7 @@ where
 
     /// Attaches a new session, or `None` once the hub has closed (the
     /// caller then spawns a fresh sentinel instead).
-    pub fn attach(self: &Arc<Self>) -> Option<MuxSession<P, T>> {
+    pub fn attach(self: &Arc<Self>) -> Option<MuxSession<P>> {
         let id = {
             let mut s = self.send.lock();
             if s.closed {
@@ -180,12 +180,6 @@ where
         Some(MuxSession {
             hub: Arc::clone(self),
             id,
-            pending: Mutex::new(None),
-            inbound: Mutex::new(Inbound {
-                buf: Vec::new(),
-                pos: 0,
-                direct: 0,
-            }),
             closing: AtomicBool::new(false),
         })
     }
@@ -294,6 +288,16 @@ where
         Ok(())
     }
 
+    /// Flushes every stage, then removes `session` from the live set.
+    fn leave_locked(&self, s: &mut SendState<P>, session: u32) -> Result<()> {
+        self.flush_stages_locked(s)?;
+        s.live.retain(|&id| id != session);
+        if let Some(g) = &self.gauges {
+            g.detached();
+        }
+        Ok(())
+    }
+
     /// Detaches `session` with close command `cmd`. A non-final close is
     /// acknowledged locally — the shared sentinel must keep running; the
     /// final close flushes, transmits, and marks the hub closed.
@@ -302,11 +306,7 @@ where
         if s.closed {
             return Err(IpcError::BrokenPipe);
         }
-        self.flush_stages_locked(&mut s)?;
-        s.live.retain(|&id| id != session);
-        if let Some(g) = &self.gauges {
-            g.detached();
-        }
+        self.leave_locked(&mut s, session)?;
         if s.live.is_empty() {
             s.closed = true;
             closing.store(true, Ordering::SeqCst);
@@ -325,22 +325,46 @@ where
         }
     }
 
-    /// Returns the next reply for `session`, demultiplexing on behalf of
-    /// every waiter: whoever finds the wire idle pulls the next framed
-    /// reply. A reply for *another* session has its payload drained into
-    /// a staged buffer immediately (the data lane must stay aligned with
-    /// the reply lane) and is deposited in that session's mailbox; the
-    /// puller's *own* reply is returned [`Pulled::Direct`] instead — the
-    /// data lane is handed to the caller, who drains the payload straight
-    /// into its destination buffer with no staging copy, which keeps the
-    /// uncontended profile identical to a private transport.
-    fn recv_for(&self, session: u32) -> Result<Pulled<P::Reply>> {
+    /// Detaches a session dropped without its close. Its staged writes
+    /// (and every other session's) go to the sentinel first: they were
+    /// acknowledged, so they must not vanish with the session.
+    fn detach(&self, session: u32) {
+        let mut s = self.send.lock();
+        if !s.closed && s.live.contains(&session) {
+            let _ = self.leave_locked(&mut s, session);
+        }
+        drop(s);
+        self.recv.lock().mailboxes.remove(&session);
+    }
+
+    /// Returns the next reply for `session`, its payload bytes landing in
+    /// `out`, demultiplexing on behalf of every waiter: whoever finds the
+    /// wire idle pulls the next framed reply. A reply for *another*
+    /// session has its payload drained into a staged buffer immediately
+    /// (the data lane must stay aligned with the reply lane) and is
+    /// deposited in that session's mailbox; the puller's *own* payload
+    /// drains straight from the data lane into `out` with no staging
+    /// copy, which keeps the uncontended profile identical to a private
+    /// transport. A reply announcing more bytes than `out` holds is
+    /// returned without its bytes, for the caller to reject.
+    fn recv_for(&self, session: u32, out: &mut [u8]) -> Result<P::Reply> {
         let mut rs = self.recv.lock();
         loop {
             match rs.mailboxes.get_mut(&session) {
                 Some(mailbox) => {
                     if let Some((reply, buf)) = mailbox.pop_front() {
-                        return Ok(Pulled::Staged(reply, buf));
+                        drop(rs);
+                        if let Some(dest) = out.get_mut(..buf.len()).filter(|d| !d.is_empty()) {
+                            dest.copy_from_slice(&buf);
+                            // The wire transfer was charged when a peer
+                            // pulled this reply on our behalf; the copy
+                            // out of its staging buffer is an extra
+                            // user-level copy the demultiplexer really
+                            // performs, so it is charged too.
+                            self.model.charge(Cost::Memcpy { bytes: buf.len() });
+                        }
+                        self.pool.put(buf);
+                        return Ok(reply);
                     }
                 }
                 None => return Err(IpcError::BrokenPipe),
@@ -365,221 +389,101 @@ where
             }
             rs.pulling = true;
             drop(rs);
-            let frame = match self.under.recv_reply() {
-                Ok(frame) => frame,
-                Err(_) => {
-                    rs = self.recv.lock();
-                    rs.pulling = false;
-                    rs.dead = true;
-                    self.recv_ready.notify_all();
-                    return Err(IpcError::BrokenPipe);
+            let pulled = self.under.recv_reply().and_then(|frame| {
+                let n = P::reply_payload_len(&frame.body);
+                if frame.session == session {
+                    self.under.recv_payload(n, out)?;
+                    return Ok(Pulled::Own(frame.body));
                 }
-            };
-            let n = P::reply_payload_len(&frame.body);
-            if frame.session == session {
-                if n == 0 {
-                    rs = self.recv.lock();
-                    rs.pulling = false;
-                    self.recv_ready.notify_all();
-                    drop(rs);
-                }
-                // With payload pending, `pulling` stays set: the data
-                // lane belongs to this session until it drains the
-                // bytes (see `finish_direct`).
-                return Ok(Pulled::Direct(frame.body, n));
-            }
-            let pulled = (|| {
                 let mut buf = self.pool.take(n);
-                if n > 0 {
-                    self.under.recv_data_exact(&mut buf)?;
-                }
-                Ok::<_, IpcError>(buf)
-            })();
+                self.under.recv_payload(n, &mut buf)?;
+                Ok(Pulled::Other(frame.session, frame.body, buf))
+            });
             rs = self.recv.lock();
             rs.pulling = false;
-            match pulled {
-                Ok(buf) => {
-                    if let Some(mailbox) = rs.mailboxes.get_mut(&frame.session) {
-                        mailbox.push_back((frame.body, buf));
-                    }
-                }
-                Err(_) => rs.dead = true,
-            }
             self.recv_ready.notify_all();
+            match pulled {
+                Ok(Pulled::Own(reply)) => return Ok(reply),
+                Ok(Pulled::Other(id, reply, buf)) => match rs.mailboxes.get_mut(&id) {
+                    Some(mailbox) => mailbox.push_back((reply, buf)),
+                    None => self.pool.put(buf),
+                },
+                Err(_) => {
+                    rs.dead = true;
+                    return Err(IpcError::BrokenPipe);
+                }
+            }
         }
-    }
-
-    /// Releases the wire after a [`Pulled::Direct`] payload is drained
-    /// (or failed to drain, in which case the wire is dead).
-    fn finish_direct(&self, ok: bool) {
-        let mut rs = self.recv.lock();
-        rs.pulling = false;
-        if !ok {
-            rs.dead = true;
-        }
-        self.recv_ready.notify_all();
     }
 }
 
-/// How a reply reached the session: staged by a demultiplexing peer, or
-/// pulled directly off the wire by the session itself (`usize` payload
-/// bytes still on the data lane, owed to the caller).
+/// A reply pulled off the wire: the puller's own (its bytes already in
+/// the caller's buffer), or another session's with its staged bytes.
 enum Pulled<R> {
-    Staged(R, Vec<u8>),
-    Direct(R, usize),
+    Own(R),
+    Other(u32, R, Vec<u8>),
 }
 
-/// Staged inbound payload for one session's `recv_data_exact` calls.
-struct Inbound {
-    buf: Vec<u8>,
-    pos: usize,
-    /// Bytes of a directly-pulled reply still sitting on the underlying
-    /// data lane, owned by this session until drained.
-    direct: usize,
-}
-
-/// One session's view of a [`MuxHub`]: a complete control-capable
-/// [`Transport`], indistinguishable in use from a private wiring.
-pub struct MuxSession<P, T>
-where
-    P: MuxProtocol,
-    T: Transport<Cmd = Framed<P::Cmd>, Reply = Framed<P::Reply>>,
-{
-    hub: Arc<MuxHub<P, T>>,
+/// One session's view of a [`MuxHub`]: a complete [`Transport`],
+/// indistinguishable in use from a private wiring. Dropping it without a
+/// close detaches it (see [`MuxHub`]).
+pub struct MuxSession<P: MuxProtocol> {
+    hub: Arc<MuxHub<P>>,
     id: u32,
-    /// A payload-carrying command parked until its bytes arrive via
-    /// `send_data`, so frame and payload hit the wire adjacently.
-    pending: Mutex<Option<P::Cmd>>,
-    inbound: Mutex<Inbound>,
     /// This session transmitted the terminal close; its acknowledgement
     /// reaps the sentinel thread.
     closing: AtomicBool,
 }
 
-impl<P, T> MuxSession<P, T>
-where
-    P: MuxProtocol,
-    T: Transport<Cmd = Framed<P::Cmd>, Reply = Framed<P::Reply>>,
-{
+impl<P: MuxProtocol> MuxSession<P> {
     /// This session's id on the hub.
     pub fn session_id(&self) -> u32 {
         self.id
     }
 
     /// The hub this session rides on.
-    pub fn hub(&self) -> &Arc<MuxHub<P, T>> {
+    pub fn hub(&self) -> &Arc<MuxHub<P>> {
         &self.hub
     }
 }
 
-impl<P, T> Transport for MuxSession<P, T>
-where
-    P: MuxProtocol,
-    T: Transport<Cmd = Framed<P::Cmd>, Reply = Framed<P::Reply>>,
-{
-    type Cmd = P::Cmd;
-    type Reply = P::Reply;
-
+impl<P: MuxProtocol> Transport<P> for MuxSession<P> {
     fn crossing(&self) -> CrossingKind {
         self.hub.under.crossing()
-    }
-
-    fn supports_control(&self) -> bool {
-        true
     }
 
     fn charges_own_crossings(&self) -> bool {
         true
     }
 
-    fn send_cmd(&self, cmd: P::Cmd) -> Result<()> {
-        if P::cmd_payload_len(&cmd) > 0 {
-            *self.pending.lock() = Some(cmd);
-            return Ok(());
+    fn post(&self, cmd: P::Cmd, payload: &[u8]) -> Result<()> {
+        if P::cmd_payload_len(&cmd) == 0 {
+            // Nothing to stage (a zero-length write): a plain frame.
+            return self.hub.send_plain(self.id, cmd);
         }
-        if P::is_close(&cmd) {
-            return self.hub.send_close(self.id, cmd, &self.closing);
-        }
-        self.hub.send_plain(self.id, cmd)
+        self.hub.send_payload(self.id, cmd, payload)
     }
 
-    fn recv_reply(&self) -> Result<P::Reply> {
-        let result = self.hub.recv_for(self.id).map(|pulled| {
-            let mut inbound = self.inbound.lock();
-            match pulled {
-                Pulled::Staged(reply, payload) => {
-                    let drained = std::mem::replace(&mut inbound.buf, payload);
-                    inbound.pos = 0;
-                    inbound.direct = 0;
-                    self.hub.pool.put(drained);
-                    reply
-                }
-                Pulled::Direct(reply, pending) => {
-                    let drained = std::mem::take(&mut inbound.buf);
-                    inbound.pos = 0;
-                    inbound.direct = pending;
-                    self.hub.pool.put(drained);
-                    reply
-                }
-            }
-        });
+    fn call(&self, cmd: P::Cmd, out: &mut [u8]) -> Result<P::Reply> {
+        if P::is_close(&cmd) {
+            self.hub.send_close(self.id, cmd, &self.closing)?;
+        } else {
+            self.hub.send_plain(self.id, cmd)?;
+        }
+        let reply = self.hub.recv_for(self.id, out);
         if self.closing.load(Ordering::SeqCst) {
             // Terminal close acknowledged (or wire gone): fold the
             // sentinel's final virtual time into this thread.
             self.hub.reap();
         }
-        result
+        reply
     }
+}
 
-    fn send_data(&self, data: &[u8]) -> Result<()> {
-        let cmd = self.pending.lock().take().ok_or(IpcError::Unsupported)?;
-        self.hub.send_payload(self.id, cmd, data)
+impl<P: MuxProtocol> Drop for MuxSession<P> {
+    fn drop(&mut self) {
+        self.hub.detach(self.id);
     }
-
-    fn recv_data(&self, buf: &mut [u8]) -> Result<usize> {
-        self.recv_data_exact(buf)
-    }
-
-    fn recv_data_exact(&self, buf: &mut [u8]) -> Result<usize> {
-        let mut inbound = self.inbound.lock();
-        if inbound.direct > 0 {
-            // This session pulled its own reply: the payload is still on
-            // the underlying data lane and goes straight into `buf` — no
-            // staging copy, exactly the private-transport profile.
-            if buf.len() > inbound.direct {
-                drop(inbound);
-                self.hub.finish_direct(false);
-                return Err(IpcError::BrokenPipe);
-            }
-            let pulled = self.hub.under.recv_data_exact(buf);
-            inbound.direct -= buf.len();
-            let done = inbound.direct == 0;
-            drop(inbound);
-            if pulled.is_err() {
-                self.hub.finish_direct(false);
-                return Err(IpcError::BrokenPipe);
-            }
-            if done {
-                self.hub.finish_direct(true);
-            }
-            return Ok(buf.len());
-        }
-        let available = inbound.buf.len() - inbound.pos;
-        if available < buf.len() {
-            return Err(IpcError::BrokenPipe);
-        }
-        let start = inbound.pos;
-        buf.copy_from_slice(&inbound.buf[start..start + buf.len()]);
-        inbound.pos += buf.len();
-        // The wire transfer was charged when a peer pulled this reply on
-        // our behalf; the copy out of its staging buffer is an extra
-        // user-level copy the demultiplexer really performs, so it is
-        // charged too.
-        self.hub.model.charge(Cost::Memcpy { bytes: buf.len() });
-        Ok(buf.len())
-    }
-
-    fn shutdown(&self) {}
 }
 
 #[cfg(test)]
@@ -640,11 +544,37 @@ mod tests {
         }
     }
 
-    type ToyHub = Arc<MuxHub<Toy, PairTransport<Framed<ToyCmd>, Framed<ToyReply>>>>;
+    type ToyHub = Arc<MuxHub<Toy>>;
 
     fn hub() -> (ToyHub, crate::PairPort<Framed<ToyCmd>, Framed<ToyReply>>) {
         let (transport, port) = PairTransport::shared(CostModel::free());
         (MuxHub::new(transport, CostModel::free(), None), port)
+    }
+
+    fn write(offset: u64, len: u32) -> ToyCmd {
+        ToyCmd {
+            tag: 1,
+            offset,
+            len,
+        }
+    }
+
+    fn op(tag: u8) -> ToyCmd {
+        ToyCmd {
+            tag,
+            offset: 0,
+            len: 0,
+        }
+    }
+
+    /// Queues the sentinel's reply to `session` ahead of the call that
+    /// waits for it.
+    fn reply_to(port: &crate::PairPort<Framed<ToyCmd>, Framed<ToyReply>>, session: u32) {
+        port.send_reply(Framed {
+            session,
+            body: ToyReply { n: 0 },
+        })
+        .expect("reply");
     }
 
     #[test]
@@ -652,29 +582,16 @@ mod tests {
         let (hub, port) = hub();
         let a = hub.attach().expect("a");
         let b = hub.attach().expect("b");
-        a.send_cmd(ToyCmd {
-            tag: 2,
-            offset: 0,
-            len: 4,
-        })
-        .expect("a read");
-        b.send_cmd(ToyCmd {
-            tag: 2,
-            offset: 8,
-            len: 4,
-        })
-        .expect("b read");
         let (id_a, id_b) = (a.session_id(), b.session_id());
         // The data lane is a rendezvous (one-slot / bounded), so the
         // sentinel side runs on its own thread, like the real loop.
         let sentinel = std::thread::spawn(move || {
             let fa = port.recv_cmd().expect("frame a");
-            let fb = port.recv_cmd().expect("frame b");
             assert_eq!(fa.session, id_a);
-            assert_eq!(fb.session, id_b);
-            // Reply out of request order: b first.
+            // Reply out of request order: b's reply goes out before b
+            // has even asked, and before a's.
             port.send_reply(Framed {
-                session: fb.session,
+                session: id_b,
                 body: ToyReply { n: 4 },
             })
             .expect("reply b");
@@ -685,14 +602,19 @@ mod tests {
             })
             .expect("reply a");
             port.send_data(b"AAAA").expect("data a");
+            let fb = port.recv_cmd().expect("frame b");
+            assert_eq!(fb.session, id_b);
         });
-        // a pulls b's frame on the way to its own; b's lands in b's box.
-        assert_eq!(a.recv_reply().expect("a reply"), ToyReply { n: 4 });
         let mut buf = [0u8; 4];
-        a.recv_data_exact(&mut buf).expect("a data");
+        // a pulls b's frame on the way to its own; b's lands in b's box.
+        let read = |offset| ToyCmd {
+            tag: 2,
+            offset,
+            len: 4,
+        };
+        assert_eq!(a.call(read(0), &mut buf).expect("a"), ToyReply { n: 4 });
         assert_eq!(&buf, b"AAAA");
-        assert_eq!(b.recv_reply().expect("b reply"), ToyReply { n: 4 });
-        b.recv_data_exact(&mut buf).expect("b data");
+        assert_eq!(b.call(read(8), &mut buf).expect("b"), ToyReply { n: 4 });
         assert_eq!(&buf, b"BBBB");
         sentinel.join().expect("sentinel thread");
     }
@@ -703,32 +625,15 @@ mod tests {
         let a = hub.attach().expect("a");
         let _b = hub.attach().expect("b"); // second session switches staging on
         for i in 0..4u64 {
-            a.send_cmd(ToyCmd {
-                tag: 1,
-                offset: i * 4,
-                len: 4,
-            })
-            .expect("cmd");
-            a.send_data(b"wxyz").expect("payload");
+            a.post(write(i * 4, 4), b"wxyz").expect("write");
         }
         // Nothing on the wire yet: all four writes sit in one stage.
         assert_eq!(port.try_recv_cmd().expect("empty"), None);
         // A read forces the flush: the batch frame precedes the read.
-        a.send_cmd(ToyCmd {
-            tag: 2,
-            offset: 0,
-            len: 1,
-        })
-        .expect("read");
+        reply_to(&port, a.session_id());
+        a.call(op(2), &mut []).expect("read");
         let flush = port.recv_cmd().expect("flush frame");
-        assert_eq!(
-            flush.body,
-            ToyCmd {
-                tag: 1,
-                offset: 0,
-                len: 16
-            }
-        );
+        assert_eq!(flush.body, write(0, 16));
         let mut payload = vec![0u8; 16];
         port.recv_data_exact(&mut payload).expect("batch payload");
         assert_eq!(&payload, b"wxyzwxyzwxyzwxyz");
@@ -739,13 +644,7 @@ mod tests {
     fn single_session_writes_go_straight_to_the_wire() {
         let (hub, port) = hub();
         let a = hub.attach().expect("a");
-        a.send_cmd(ToyCmd {
-            tag: 1,
-            offset: 0,
-            len: 3,
-        })
-        .expect("cmd");
-        a.send_data(b"abc").expect("payload");
+        a.post(write(0, 3), b"abc").expect("write");
         let frame = port.recv_cmd().expect("frame");
         assert_eq!(frame.body.len, 3);
         let mut buf = [0u8; 3];
@@ -758,22 +657,15 @@ mod tests {
         let (hub, port) = hub();
         let a = hub.attach().expect("a");
         let b = hub.attach().expect("b");
-        a.send_cmd(ToyCmd {
-            tag: 9,
-            offset: 0,
-            len: 0,
-        })
-        .expect("a close");
-        // a's close was acknowledged locally, nothing on the wire.
-        assert_eq!(a.recv_reply().expect("local ack"), ToyReply { n: 0 });
+        // a's close is acknowledged locally, nothing on the wire.
+        assert_eq!(
+            a.call(op(9), &mut []).expect("local ack"),
+            ToyReply { n: 0 }
+        );
         assert_eq!(port.try_recv_cmd().expect("empty"), None);
         assert_eq!(hub.live_sessions(), vec![b.session_id()]);
-        b.send_cmd(ToyCmd {
-            tag: 9,
-            offset: 0,
-            len: 0,
-        })
-        .expect("b close");
+        reply_to(&port, b.session_id());
+        b.call(op(9), &mut []).expect("b close");
         assert_eq!(port.recv_cmd().expect("wire close").body.tag, 9);
         assert!(hub.is_closed());
         assert!(hub.attach().is_none(), "closed hub refuses new sessions");
@@ -789,26 +681,15 @@ mod tests {
         let _b = hub.attach().expect("b");
         let before = model.snapshot();
         for i in 0..8u64 {
-            a.send_cmd(ToyCmd {
-                tag: 1,
-                offset: i * 2,
-                len: 2,
-            })
-            .expect("cmd");
-            a.send_data(b"hi").expect("payload");
+            a.post(write(i * 2, 2), b"hi").expect("write");
         }
         let staged = model.snapshot().since(&before);
         assert_eq!(staged.thread_switches, 0, "coalesced writes cross nothing");
-        a.send_cmd(ToyCmd {
-            tag: 3,
-            offset: 0,
-            len: 0,
-        })
-        .expect("sync op");
+        reply_to(&port, a.session_id());
+        a.call(op(3), &mut []).expect("sync op");
         let flushed = model.snapshot().since(&before);
         // One batch frame + one sync frame: two round trips total.
         assert_eq!(flushed.thread_switches, 4);
-        drop(port);
     }
 
     #[test]
@@ -816,20 +697,8 @@ mod tests {
         let (hub, port) = hub();
         let a = hub.attach().expect("a");
         let _b = hub.attach().expect("b");
-        a.send_cmd(ToyCmd {
-            tag: 1,
-            offset: 0,
-            len: 2,
-        })
-        .expect("cmd");
-        a.send_data(b"aa").expect("payload");
-        a.send_cmd(ToyCmd {
-            tag: 1,
-            offset: 100,
-            len: 2,
-        })
-        .expect("cmd");
-        a.send_data(b"bb").expect("payload");
+        a.post(write(0, 2), b"aa").expect("write");
+        a.post(write(100, 2), b"bb").expect("write");
         // The non-contiguous second write pushed the first out.
         let frame = port.recv_cmd().expect("flushed first write");
         assert_eq!(frame.body.offset, 0);
@@ -837,5 +706,21 @@ mod tests {
         port.recv_data_exact(&mut buf).expect("payload");
         assert_eq!(&buf, b"aa");
         assert_eq!(port.try_recv_cmd().expect("second still staged"), None);
+    }
+
+    #[test]
+    fn a_dropped_session_delivers_its_staged_writes() {
+        let (hub, port) = hub();
+        let a = hub.attach().expect("a");
+        let b = hub.attach().expect("b");
+        a.post(write(0, 2), b"aa").expect("write");
+        assert_eq!(port.try_recv_cmd().expect("staged"), None);
+        drop(a);
+        let frame = port.recv_cmd().expect("flushed on drop");
+        assert_eq!(frame.body, write(0, 2));
+        let mut buf = [0u8; 2];
+        port.recv_data_exact(&mut buf).expect("payload");
+        assert_eq!(&buf, b"aa");
+        assert_eq!(hub.live_sessions(), vec![b.session_id()]);
     }
 }

@@ -1,22 +1,24 @@
-//! The [`Transport`] abstraction: one protocol surface over the three IPC
+//! The [`Transport`] abstraction: one call per operation over the IPC
 //! substrates of §4.
 //!
 //! The paper's strategies differ in *what carries the bytes*, not in what
-//! the bytes mean: §4.1 uses a bare pipe pair (streaming only), §4.2 adds
-//! a control channel beside two data pipes, and §4.3 swaps the pipes for
-//! shared memory plus events. A [`Transport`] packages one application
-//! side of that choice — typed command/reply lanes plus a byte-granular
-//! data lane — so a single generic strategy handle can drive all of them.
-//! [`PairTransport::kernel`], [`PairTransport::shared`], and
-//! [`StreamTransport::new`] build the three concrete wirings; the
-//! DLL-only strategy implements the same trait with inline calls in the
-//! core crate.
+//! an operation means: §4.2 uses a control channel beside two data pipes,
+//! §4.3 swaps the pipes for shared memory plus events, and §4.4 calls the
+//! sentinel inline. A [`Transport`] is the application side of that
+//! choice, shaped like the operation: one [`post`](Transport::post) per
+//! write-behind write, one [`call`](Transport::call) per everything else.
+//! [`PairTransport::kernel`] and [`PairTransport::shared`] build the
+//! §4.2/§4.3 wirings; the session multiplexer, the batched ring and the
+//! inline §4.4 path implement the same trait. The bare pipe pair of §4.1
+//! ([`StreamTransport`]) carries no commands and is not a `Transport`.
 //!
-//! The sentinel side of a control-capable wiring is a [`PairPort`], which
-//! the dispatch loop drains. Both sides stage payloads through a
+//! A transport dropped without its close still delivers the writes it
+//! acknowledged: whatever it staged goes to the sentinel on drop.
+//!
+//! The sentinel side of a pair wiring is a [`PairPort`], which the
+//! dispatch loop drains. Both sides stage payloads through a
 //! [`BufferPool`](crate::BufferPool) rather than allocating per message.
 
-use std::marker::PhantomData;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -26,8 +28,8 @@ use afs_telemetry::QueueGauges;
 
 use crate::pool::BufferPool;
 use crate::{
-    ControlChannel, ControlReceiver, ControlSender, IpcError, Pipe, PipeReader, PipeWriter, Result,
-    SharedBuffer,
+    ControlChannel, ControlReceiver, ControlSender, IpcError, MuxProtocol, Pipe, PipeReader,
+    PipeWriter, Result, SharedBuffer,
 };
 
 /// Sink for one direction of the data lane.
@@ -82,61 +84,35 @@ impl DataRx for SharedBuffer {
     }
 }
 
-/// The application side of one strategy's IPC wiring: typed commands out,
-/// typed replies in, bytes both ways.
-///
-/// `recv_data` reads *up to* `buf.len()` bytes (the streaming read of
-/// §4.1); `recv_data_exact` assembles exactly `buf.len()` (the
-/// command-sized transfers of §4.2/§4.3).
-pub trait Transport: Send + Sync {
-    /// Command type carried on the control lane.
-    type Cmd: Send + 'static;
-    /// Reply type carried back.
-    type Reply: Send + 'static;
-
+/// The application side of one strategy's wiring, shaped like the
+/// operation rather than like the pipes: the handle makes one call per
+/// operation and the wiring decides how the bytes cross. A write is a
+/// [`post`](Transport::post) — write-behind, nothing comes back — and
+/// everything else is a [`call`](Transport::call) whose reply bytes land
+/// in the caller's buffer. `P` supplies the command and reply types and
+/// how many payload bytes a reply carries.
+pub trait Transport<P: MuxProtocol>: Send + Sync {
     /// Which protection boundary an operation round-trip crosses.
     fn crossing(&self) -> CrossingKind;
 
-    /// Whether the wiring has a control lane. Without one (§4.1) only the
-    /// data lane works and `send_cmd`/`recv_reply` fail with
-    /// [`IpcError::Unsupported`].
-    fn supports_control(&self) -> bool;
-
-    /// Whether the transport charges its own protection-domain crossings
-    /// as part of `send_cmd`/`send_data`. A multiplexing transport that
-    /// batches adjacent commands must, since an operation's crossing count
-    /// is no longer a per-op constant; callers then skip their own
-    /// round-trip charge.
+    /// Whether the transport charges its own protection-domain crossings.
+    /// A wiring that batches or coalesces commands must, since an
+    /// operation's crossing count is no longer a per-op constant; callers
+    /// then skip their own round-trip charge.
     fn charges_own_crossings(&self) -> bool {
         false
     }
 
-    /// The submission-ring depth when the wiring batches commands over a
-    /// [`ring::RingPair`](crate::ring::RingPair) — the K of "1 crossing +
-    /// K dispatches". `None` for unbatched wirings that cross per op.
-    fn ring_depth(&self) -> Option<usize> {
-        None
-    }
+    /// Sends a write-behind command plus its payload bytes; nothing
+    /// comes back. The bytes are delivered even if the transport is
+    /// dropped before the sentinel has seen them.
+    fn post(&self, cmd: P::Cmd, payload: &[u8]) -> Result<()>;
 
-    /// Sends one command to the sentinel.
-    fn send_cmd(&self, cmd: Self::Cmd) -> Result<()>;
-
-    /// Receives the sentinel's reply to the last command.
-    fn recv_reply(&self) -> Result<Self::Reply>;
-
-    /// Sends payload bytes to the sentinel.
-    fn send_data(&self, data: &[u8]) -> Result<()>;
-
-    /// Receives up to `buf.len()` payload bytes (0 means end-of-stream).
-    fn recv_data(&self, buf: &mut [u8]) -> Result<usize>;
-
-    /// Receives exactly `buf.len()` payload bytes (short only at
-    /// end-of-stream).
-    fn recv_data_exact(&self, buf: &mut [u8]) -> Result<usize>;
-
-    /// Tears the wiring down (used by strategies that signal close by
-    /// closing the substrate rather than by command).
-    fn shutdown(&self);
+    /// Sends `cmd` and waits for its reply, whose payload bytes land in
+    /// `out`. A reply announcing more bytes than `out` holds is drained
+    /// and returned as is, so the lanes stay framed and the caller can
+    /// reject it.
+    fn call(&self, cmd: P::Cmd, out: &mut [u8]) -> Result<P::Reply>;
 }
 
 /// Application side of a control-capable wiring (§4.2/§4.3): a command
@@ -263,39 +239,61 @@ impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
     }
 }
 
-impl<C: Send + 'static, R: Send + 'static> Transport for PairTransport<C, R> {
-    type Cmd = C;
-    type Reply = R;
+impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
+    /// The boundary the wiring crosses.
+    pub fn crossing(&self) -> CrossingKind {
+        self.crossing
+    }
 
+    /// Sends one command to the sentinel.
+    pub(crate) fn send_cmd(&self, cmd: C) -> Result<()> {
+        self.commands.send(cmd)
+    }
+
+    /// Receives the sentinel's next reply.
+    pub(crate) fn recv_reply(&self) -> Result<R> {
+        self.replies.recv()
+    }
+
+    /// Sends payload bytes to the sentinel.
+    pub(crate) fn send_data(&self, data: &[u8]) -> Result<()> {
+        self.data_tx.send(data)
+    }
+
+    /// Receives a reply's `n` payload bytes into `out[..n]`. When `n`
+    /// exceeds `out` the bytes are drained into scratch instead, so the
+    /// data lane stays aligned with the reply lane.
+    pub(crate) fn recv_payload(&self, n: usize, out: &mut [u8]) -> Result<()> {
+        if n == 0 {
+            return Ok(());
+        }
+        match out.get_mut(..n) {
+            Some(dest) => self.data_rx.recv_exact(dest)?,
+            None => self.data_rx.recv_exact(&mut vec![0; n])?,
+        };
+        Ok(())
+    }
+}
+
+impl<P: MuxProtocol> Transport<P> for PairTransport<P::Cmd, P::Reply> {
     fn crossing(&self) -> CrossingKind {
         self.crossing
     }
 
-    fn supports_control(&self) -> bool {
-        true
+    fn post(&self, cmd: P::Cmd, payload: &[u8]) -> Result<()> {
+        self.send_cmd(cmd)?;
+        if !payload.is_empty() {
+            self.send_data(payload)?;
+        }
+        Ok(())
     }
 
-    fn send_cmd(&self, cmd: C) -> Result<()> {
-        self.commands.send(cmd)
+    fn call(&self, cmd: P::Cmd, out: &mut [u8]) -> Result<P::Reply> {
+        self.send_cmd(cmd)?;
+        let reply = self.recv_reply()?;
+        self.recv_payload(P::reply_payload_len(&reply), out)?;
+        Ok(reply)
     }
-
-    fn recv_reply(&self) -> Result<R> {
-        self.replies.recv()
-    }
-
-    fn send_data(&self, data: &[u8]) -> Result<()> {
-        self.data_tx.send(data)
-    }
-
-    fn recv_data(&self, buf: &mut [u8]) -> Result<usize> {
-        self.data_rx.recv_exact(buf)
-    }
-
-    fn recv_data_exact(&self, buf: &mut [u8]) -> Result<usize> {
-        self.data_rx.recv_exact(buf)
-    }
-
-    fn shutdown(&self) {}
 }
 
 impl<C: Send + 'static, R: Send + 'static> PairPort<C, R> {
@@ -358,22 +356,18 @@ impl<C: Send + 'static, R: Send + 'static> PairPort<C, R> {
 }
 
 /// Application side of the §4.1 wiring: two bare pipes, no control lane.
-/// Reads and writes stream; everything needing a command fails with
-/// [`IpcError::Unsupported`].
-///
-/// The type is generic over the (unused) command protocol so it can stand
-/// wherever a control-capable transport of the same protocol can.
-pub struct StreamTransport<C, R> {
+/// Reads and writes stream; there is no way to send a command, so this
+/// is not a [`Transport`].
+pub struct StreamTransport {
     to_sentinel: Mutex<Option<PipeWriter>>,
     from_sentinel: Mutex<Option<PipeReader>>,
-    _protocol: PhantomData<fn() -> (C, R)>,
 }
 
-impl<C: Send + 'static, R: Send + 'static> StreamTransport<C, R> {
+impl StreamTransport {
     /// Builds the wiring, returning the transport plus the sentinel's
     /// `stdin` reader and `stdout` writer (the two anonymous pipes of
     /// Figure 2).
-    pub fn new(model: CostModel) -> (StreamTransport<C, R>, PipeReader, PipeWriter) {
+    pub fn new(model: CostModel) -> (StreamTransport, PipeReader, PipeWriter) {
         StreamTransport::build(model, None)
     }
 
@@ -381,14 +375,14 @@ impl<C: Send + 'static, R: Send + 'static> StreamTransport<C, R> {
     pub fn new_observed(
         model: CostModel,
         gauges: Arc<QueueGauges>,
-    ) -> (StreamTransport<C, R>, PipeReader, PipeWriter) {
+    ) -> (StreamTransport, PipeReader, PipeWriter) {
         StreamTransport::build(model, Some(gauges))
     }
 
     fn build(
         model: CostModel,
         gauges: Option<Arc<QueueGauges>>,
-    ) -> (StreamTransport<C, R>, PipeReader, PipeWriter) {
+    ) -> (StreamTransport, PipeReader, PipeWriter) {
         let crossing = CrossingKind::InterProcess;
         let pipe = |model: CostModel| match &gauges {
             Some(g) => Pipe::anonymous_observed(model, crossing, Arc::clone(g)),
@@ -400,55 +394,30 @@ impl<C: Send + 'static, R: Send + 'static> StreamTransport<C, R> {
             StreamTransport {
                 to_sentinel: Mutex::new(Some(app_write)),
                 from_sentinel: Mutex::new(Some(app_read)),
-                _protocol: PhantomData,
             },
             sentinel_stdin,
             sentinel_stdout,
         )
     }
-}
 
-impl<C: Send + 'static, R: Send + 'static> Transport for StreamTransport<C, R> {
-    type Cmd = C;
-    type Reply = R;
-
-    fn crossing(&self) -> CrossingKind {
-        CrossingKind::InterProcess
-    }
-
-    fn supports_control(&self) -> bool {
-        false
-    }
-
-    fn send_cmd(&self, _cmd: C) -> Result<()> {
-        // "There is no method of passing control information" (§4.1).
-        Err(IpcError::Unsupported)
-    }
-
-    fn recv_reply(&self) -> Result<R> {
-        Err(IpcError::Unsupported)
-    }
-
-    fn send_data(&self, data: &[u8]) -> Result<()> {
+    /// Streams `data` into the sentinel's stdin.
+    pub fn send(&self, data: &[u8]) -> Result<()> {
         let guard = self.to_sentinel.lock();
         guard.as_ref().ok_or(IpcError::Closed)?.write(data)
     }
 
-    fn recv_data(&self, buf: &mut [u8]) -> Result<usize> {
+    /// Receives up to `buf.len()` bytes from the sentinel's stdout (0
+    /// means end-of-stream).
+    pub fn recv(&self, buf: &mut [u8]) -> Result<usize> {
         let guard = self.from_sentinel.lock();
         guard.as_ref().ok_or(IpcError::Closed)?.read(buf)
     }
 
-    fn recv_data_exact(&self, buf: &mut [u8]) -> Result<usize> {
-        let guard = self.from_sentinel.lock();
-        guard.as_ref().ok_or(IpcError::Closed)?.read_exact(buf)
-    }
-
-    fn shutdown(&self) {
-        // Dropping the write end delivers EOF to the sentinel's stdin, and
-        // dropping the read end breaks any pump blocked on a full read
-        // pipe ("the CloseHandle call just shuts down the created pipes",
-        // Appendix A.2).
+    /// Closes both pipes. Dropping the write end delivers EOF to the
+    /// sentinel's stdin, and dropping the read end breaks any pump
+    /// blocked on a full read pipe ("the CloseHandle call just shuts down
+    /// the created pipes", Appendix A.2).
+    pub fn shutdown(&self) {
         self.to_sentinel.lock().take();
         self.from_sentinel.lock().take();
     }
@@ -458,22 +427,70 @@ impl<C: Send + 'static, R: Send + 'static> Transport for StreamTransport<C, R> {
 mod tests {
     use super::*;
 
+    /// A toy protocol whose commands and replies are byte counts: a
+    /// command of `n` carries `n` payload bytes, a reply of `n` returns
+    /// `n`.
+    struct Counted;
+
+    impl MuxProtocol for Counted {
+        type Cmd = u32;
+        type Reply = u32;
+
+        fn cmd_payload_len(cmd: &u32) -> usize {
+            *cmd as usize
+        }
+
+        fn reply_payload_len(reply: &u32) -> usize {
+            *reply as usize
+        }
+
+        fn is_close(_: &u32) -> bool {
+            false
+        }
+
+        fn close_ack() -> u32 {
+            0
+        }
+
+        fn coalesce(_: &u32, _: &u32) -> Option<u32> {
+            None
+        }
+    }
+
+    #[test]
+    fn pair_call_drains_an_oversized_reply_and_stays_framed() {
+        let (app, port) = PairTransport::<u32, u32>::kernel(CostModel::free());
+        port.send_reply(6).expect("oversized reply");
+        port.send_data(b"excess").expect("excess bytes");
+        port.send_reply(2).expect("next reply");
+        port.send_data(b"ok").expect("next bytes");
+        let mut out = [0u8; 2];
+        // The reply is returned for the caller to reject; its bytes are
+        // gone from the lane, so the next call reads its own.
+        assert_eq!(Transport::<Counted>::call(&app, 0, &mut out), Ok(6));
+        assert_eq!(Transport::<Counted>::call(&app, 0, &mut out), Ok(2));
+        assert_eq!(&out, b"ok");
+    }
+
     #[test]
     fn kernel_pair_round_trips_commands_and_data() {
-        let (app, port) = PairTransport::<u32, u64>::kernel(CostModel::free());
-        app.send_cmd(7).expect("cmd");
-        assert_eq!(port.recv_cmd().expect("recv cmd"), 7);
-        port.send_reply(99).expect("reply");
-        assert_eq!(app.recv_reply().expect("recv reply"), 99);
-        app.send_data(b"down").expect("data down");
+        let (app, port) = PairTransport::<u32, u32>::kernel(CostModel::free());
+        Transport::<Counted>::post(&app, 4, b"down").expect("post");
+        assert_eq!(port.recv_cmd().expect("recv cmd"), 4);
         let mut buf = [0u8; 4];
         port.recv_data_exact(&mut buf).expect("port recv");
         assert_eq!(&buf, b"down");
+        port.send_reply(4).expect("reply");
         port.send_data(b"up!!").expect("data up");
-        app.recv_data_exact(&mut buf).expect("app recv");
-        assert_eq!(&buf, b"up!!");
-        assert_eq!(app.crossing(), CrossingKind::InterProcess);
-        assert!(app.supports_control());
+        let mut out = [0u8; 8];
+        let reply = Transport::<Counted>::call(&app, 7, &mut out).expect("call");
+        assert_eq!(reply, 4);
+        assert_eq!(&out[..4], b"up!!");
+        assert_eq!(port.recv_cmd().expect("called cmd"), 7);
+        assert_eq!(
+            Transport::<Counted>::crossing(&app),
+            CrossingKind::InterProcess
+        );
     }
 
     #[test]
@@ -518,19 +535,18 @@ mod tests {
 
     #[test]
     fn stream_transport_has_no_control_lane() {
-        let (app, stdin, stdout) = StreamTransport::<u8, u8>::new(CostModel::free());
-        assert!(!app.supports_control());
-        assert_eq!(app.send_cmd(1), Err(IpcError::Unsupported));
-        assert_eq!(app.recv_reply(), Err(IpcError::Unsupported));
-        app.send_data(b"in").expect("send");
+        // Only bytes stream; with no command lane the type offers no way
+        // to send a command at all.
+        let (app, stdin, stdout) = StreamTransport::new(CostModel::free());
+        app.send(b"in").expect("send");
         let mut buf = [0u8; 2];
         stdin.read_exact(&mut buf).expect("sentinel read");
         assert_eq!(&buf, b"in");
         stdout.write(b"ou").expect("sentinel write");
-        app.recv_data(&mut buf).expect("recv");
+        app.recv(&mut buf).expect("recv");
         assert_eq!(&buf, b"ou");
         app.shutdown();
-        assert_eq!(app.send_data(b"x"), Err(IpcError::Closed));
+        assert_eq!(app.send(b"x"), Err(IpcError::Closed));
         assert_eq!(stdin.read(&mut buf).expect("eof"), 0);
     }
 }
