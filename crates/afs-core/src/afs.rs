@@ -491,113 +491,60 @@ impl ActiveFileSystem {
         {
             instr.writes = Some(self.shared.pending_writes(vpath.file_path().to_string()));
         }
-        if let Some(claim) = claim {
-            // First open (or the previous sentinel terminally closed and
-            // was reaped): build the shared sentinel *without* holding
-            // the registry lock — its open hook may recursively open
-            // other active files through this same layer.
-            let logic = self
-                .registry
+        let model = self.model.clone();
+        let trace = Arc::clone(&self.trace);
+        let instantiate = || {
+            self.registry
                 .instantiate(&spec)
-                .ok_or(Win32Error::FileNotFound)?;
-            let built: Arc<dyn SharedSentinel> = match spec.strategy() {
-                Strategy::ProcessControl | Strategy::DllThread => strategy::mux::open_shared(
-                    spec.strategy(),
-                    logic,
-                    ctx,
-                    self.model.clone(),
-                    Arc::clone(&self.trace),
-                    instr,
-                )?,
-                Strategy::DllOnly => strategy::dll::open_shared(
-                    logic,
-                    ctx,
-                    self.model.clone(),
-                    Arc::clone(&self.trace),
-                    instr,
-                )?,
-                Strategy::Process => unreachable!("gated by `sharable`"),
-            };
-            let ops = built.attach().ok_or(Win32Error::BrokenPipe)?;
-            claim.publish(&built);
-            return Ok(self.handles.insert(ActiveEntry {
-                ops,
-                access,
-                shared: Some(built),
-            }));
-        }
-        let ops: Arc<dyn ActiveOps> = match spec.strategy() {
-            Strategy::Process => {
+                .ok_or(Win32Error::FileNotFound)
+        };
+        let (ops, shared) = match (spec.strategy(), batch) {
+            (Strategy::Process, _) => {
                 // Prefer a hand-written process sentinel; fall back to the
                 // adapted logic pump.
-                if let Some(raw) = self.registry.instantiate_raw(&spec) {
-                    strategy::process::open_raw(
-                        raw,
-                        ctx,
-                        self.model.clone(),
-                        Arc::clone(&self.trace),
-                        instr,
-                    )
-                } else {
-                    let logic = self
-                        .registry
-                        .instantiate(&spec)
-                        .ok_or(Win32Error::FileNotFound)?;
-                    strategy::process::open_logic(
-                        logic,
-                        ctx,
-                        self.model.clone(),
-                        Arc::clone(&self.trace),
-                        instr,
-                    )?
-                }
+                let ops = match self.registry.instantiate_raw(&spec) {
+                    Some(raw) => strategy::process::open_raw(raw, ctx, model, trace, instr),
+                    None => {
+                        strategy::process::open_logic(instantiate()?, ctx, model, trace, instr)?
+                    }
+                };
+                (ops, None)
             }
-            Strategy::ProcessControl => {
-                let logic = self
-                    .registry
-                    .instantiate(&spec)
-                    .ok_or(Win32Error::FileNotFound)?;
-                strategy::control::open(
-                    logic,
-                    ctx,
-                    self.model.clone(),
-                    Arc::clone(&self.trace),
-                    instr,
-                    batch,
-                )?
+            (kind @ (Strategy::ProcessControl | Strategy::DllThread), Some(depth)) => {
+                let open = match kind {
+                    Strategy::ProcessControl => strategy::batch::open_kernel,
+                    _ => strategy::batch::open_shared,
+                };
+                (open(instantiate()?, ctx, model, trace, instr, depth)?, None)
             }
-            Strategy::DllThread => {
-                let logic = self
-                    .registry
-                    .instantiate(&spec)
-                    .ok_or(Win32Error::FileNotFound)?;
-                strategy::thread::open(
-                    logic,
-                    ctx,
-                    self.model.clone(),
-                    Arc::clone(&self.trace),
-                    instr,
-                    batch,
-                )?
-            }
-            Strategy::DllOnly => {
-                let logic = self
-                    .registry
-                    .instantiate(&spec)
-                    .ok_or(Win32Error::FileNotFound)?;
-                strategy::dll::open(
-                    logic,
-                    ctx,
-                    self.model.clone(),
-                    Arc::clone(&self.trace),
-                    instr,
-                )?
+            // Every other open is a session of a sentinel: the first of
+            // many when sharable, else the only one, built without
+            // session gauges. It is built without holding the registry
+            // lock — its open hook may recursively open other active
+            // files through this same layer.
+            (kind, _) => {
+                let gauges = claim
+                    .as_ref()
+                    .map(|_| Arc::clone(self.telemetry.sessions()));
+                let logic = instantiate()?;
+                let built: Arc<dyn SharedSentinel> = match kind {
+                    Strategy::DllOnly => {
+                        strategy::dll::build(logic, ctx, model, trace, instr, gauges)?
+                    }
+                    _ => strategy::mux::build(kind, logic, ctx, model, trace, instr, gauges)?,
+                };
+                let ops = built.attach().ok_or(Win32Error::BrokenPipe)?;
+                let shared = claim.map(|claim| {
+                    claim.publish(&built);
+                    built
+                });
+                (ops, shared)
             }
         };
         Ok(self.handles.insert(ActiveEntry {
             ops,
             access,
-            shared: None,
+            shared,
         }))
     }
 

@@ -406,11 +406,9 @@ impl Drop for RingDriver {
     }
 }
 
-/// The sentinel side of a batched wiring: the wire I/O of a
-/// [`DispatchTask`], draining a [`RingPort`] instead of a
+/// The sentinel side of a batched wiring: one private session's wire
+/// I/O, draining a [`RingPort`] instead of a mux loop's
 /// [`PairPort`](afs_ipc::PairPort) and completing through the index.
-///
-/// [`DispatchTask`]: crate::strategy::DispatchTask
 struct RingDispatchTask {
     core: SentinelCore,
     port: RingPort<Op, OpReply>,

@@ -173,33 +173,10 @@ impl SharedSentinel for InlineShared {
     }
 }
 
-/// Builds the shared DLL-only sentinel: runs the open hook once and
-/// returns the [`SharedSentinel`] later opens attach through.
-pub(crate) fn open_shared(
-    logic: Box<dyn SentinelLogic>,
-    ctx: SentinelCtx,
-    model: CostModel,
-    trace: Arc<OpTrace>,
-    instr: Instruments,
-) -> Result<Arc<InlineShared>, Win32Error> {
-    let gauges = Arc::clone(instr.tel.sessions());
-    build(logic, ctx, model, trace, instr, Some(gauges))
-}
-
-/// Builds a private DLL-only open: a sentinel with one session.
-pub(crate) fn open(
-    logic: Box<dyn SentinelLogic>,
-    ctx: SentinelCtx,
-    model: CostModel,
-    trace: Arc<OpTrace>,
-    instr: Instruments,
-) -> Result<Arc<dyn ActiveOps>, Win32Error> {
-    build(logic, ctx, model, trace, instr, None)?
-        .attach()
-        .ok_or(Win32Error::BrokenPipe)
-}
-
-fn build(
+/// Builds the DLL-only sentinel: runs the open hook once and returns the
+/// [`SharedSentinel`] its opens attach through. `gauges` is `None` for a
+/// private open, which attaches its one session without counting it.
+pub(crate) fn build(
     mut logic: Box<dyn SentinelLogic>,
     mut ctx: SentinelCtx,
     model: CostModel,

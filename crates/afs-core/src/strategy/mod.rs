@@ -18,13 +18,13 @@
 //! lives. [`SentinelCore::serve`] owns what a command means on the
 //! sentinel side (write-behind pre-emption and parking, the sentinel span
 //! and counters, the close hook); the paths around it own only their wire
-//! I/O: a poll-driven [`DispatchTask`] over a private pair of lanes, the
-//! multiplexed `MuxLoop` over framed sessions, and the batched
-//! `RingDispatchTask` over a submission ring — all three on the sharded
-//! [`executor::SentinelExecutor`] for §4.2/§4.3 — or an inline call for
-//! §4.4. One generic [`StrategyHandle`](handle::StrategyHandle) drives the
-//! application side over an [`afs_ipc::Transport`], one `post` or `call`
-//! per op; §4.1's commandless pipe pair has its own `StreamHandle`.
+//! I/O: the multiplexed `MuxLoop` over framed sessions (a private open is
+//! one session) and the batched `RingDispatchTask` over a submission
+//! ring — both on the sharded [`executor::SentinelExecutor`] for
+//! §4.2/§4.3 — or an inline call for §4.4. One generic
+//! [`StrategyHandle`](handle::StrategyHandle) drives the application side
+//! over an [`afs_ipc::Transport`], one `post` or `call` per op; §4.1's
+//! commandless pipe pair has its own `StreamHandle`.
 //! Per-command payload staging goes through an [`afs_ipc::BufferPool`] so
 //! a settled sentinel allocates nothing per operation.
 
@@ -43,8 +43,8 @@ use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 
-use afs_ipc::{BufferPool, PairPort, PairTransport};
-use afs_sim::{clock, CostModel, OpTrace, SimTime};
+use afs_ipc::{BufferPool, PairPort};
+use afs_sim::{clock, SimTime};
 use afs_telemetry::{
     intern, now_ns, LatencyHistogram, Layer, SentinelStats, SloTracker, SpanScope, Telemetry,
 };
@@ -52,8 +52,6 @@ use afs_winapi::Win32Error;
 
 use crate::ctx::SentinelCtx;
 use crate::logic::{SentinelError, SentinelLogic};
-use crate::strategy::executor::{SentinelPoll, TaskPoll};
-use crate::strategy::handle::StrategyHandle;
 
 /// Per-open wiring handed to a strategy `open`: the telemetry hub, the
 /// interned name of the sentinel being opened, and the executor its
@@ -702,47 +700,6 @@ fn replay_queued_writes(logic: &mut dyn SentinelLogic, ctx: &mut SentinelCtx) {
     ctx.set_stale(false);
 }
 
-/// The sentinel dispatch state machine of a private process-plus-control
-/// or DLL-with-thread open ("the thread … runs a dispatch loop using
-/// calls to AF_GetControl", §5.3), draining one [`PairPort`].
-///
-/// Instead of blocking in `recv_cmd` on a dedicated thread, `poll` drains
-/// whatever the command lane holds (with `recv_cmd`-equivalent cost
-/// charging, see [`PairPort::poll_cmd`]) and yields, so the sentinel
-/// executor can park it without a thread. Write payloads still arrive
-/// with a short bounded wait — the application sends command and payload
-/// back-to-back under its op lock.
-struct DispatchTask {
-    core: SentinelCore,
-    port: PairPort<Op, OpReply>,
-    session: Session,
-}
-
-impl DispatchTask {
-    /// Serves one command; `Ready` when the sentinel should terminate.
-    fn serve(&mut self, op: Op) -> TaskPoll {
-        let closing = matches!(op, Op::Close);
-        let mut payload = Vec::new();
-        if let Op::Write { len, .. } = op {
-            payload = self.core.pool().take(len as usize);
-            if len > 0 && self.port.recv_data_exact(&mut payload).is_err() {
-                return TaskPoll::Ready;
-            }
-        }
-        let served = self.core.serve(&self.session, op, &payload);
-        self.core.pool().put(payload);
-        let Some((reply, data)) = served else {
-            return TaskPoll::Pending;
-        };
-        let sent = send_reply(&self.port, self.core.pool(), reply, data);
-        if closing || sent.is_err() {
-            TaskPoll::Ready
-        } else {
-            TaskPoll::Pending
-        }
-    }
-}
-
 /// Sends a served reply, then any read bytes, down a pair of lanes; the
 /// bytes' buffer goes back to `pool` once sent.
 pub(crate) fn send_reply<C: Send + 'static, R: Send + 'static>(
@@ -759,86 +716,6 @@ pub(crate) fn send_reply<C: Send + 'static, R: Send + 'static>(
         pool.put(data);
     }
     Ok(())
-}
-
-impl Drop for DispatchTask {
-    /// Writes still counted in flight will never be applied now.
-    fn drop(&mut self) {
-        if let Some(writes) = &self.session.writes {
-            writes.settle();
-        }
-    }
-}
-
-impl SentinelPoll for DispatchTask {
-    fn poll(&mut self) -> TaskPoll {
-        // Commands served back-to-back in one poll were queued together:
-        // the run length is this task's observed backlog depth.
-        let mut drained = 0u64;
-        loop {
-            let op = match self.port.poll_cmd() {
-                Ok(Some(op)) => op,
-                Ok(None) => {
-                    self.session.side.stats().note_queue_depth(drained);
-                    return TaskPoll::Pending;
-                }
-                Err(_) => {
-                    self.core.abandon();
-                    return TaskPoll::Ready;
-                }
-            };
-            drained += 1;
-            if let TaskPoll::Ready = self.serve(op) {
-                return TaskPoll::Ready;
-            }
-        }
-    }
-
-    fn abandon(&mut self) {
-        self.core.abandon();
-    }
-}
-
-/// Builds a private open of a wire strategy — §4.2 kernel pipes when
-/// `kernel`, else §4.3 shared memory: runs the open hook, registers a
-/// [`DispatchTask`] on the sentinel executor, and returns the
-/// application-side handle.
-pub(crate) fn open_private_wire(
-    strategy: &'static str,
-    kernel: bool,
-    mut logic: Box<dyn SentinelLogic>,
-    mut ctx: SentinelCtx,
-    model: CostModel,
-    trace: Arc<OpTrace>,
-    instr: Instruments,
-) -> Result<Arc<dyn ActiveOps>, Win32Error> {
-    logic.on_open(&mut ctx).map_err(|e| to_win32(&e))?;
-    let gauges = Arc::clone(instr.tel.gauges());
-    let (transport, port) = if kernel {
-        PairTransport::<Op, OpReply>::kernel_observed(model.clone(), gauges)
-    } else {
-        PairTransport::<Op, OpReply>::shared_observed(model.clone(), gauges)
-    };
-    let (session, scope) = instr.session(strategy);
-    let sticky = Arc::clone(&session.sticky);
-    let core = SentinelCore::new(logic, ctx, Arc::clone(port.pool()));
-    let done = instr.spawn_task(move |waker| {
-        port.set_wakeup(waker);
-        Box::new(DispatchTask {
-            core,
-            port,
-            session,
-        })
-    });
-    Ok(Arc::new(StrategyHandle::new(
-        transport,
-        model,
-        trace,
-        strategy,
-        sticky,
-        Some(Reaper::Task(done)),
-        instr.app_side(scope),
-    )))
 }
 
 /// Spawns a sentinel thread that inherits the opener's virtual clock and

@@ -1,4 +1,5 @@
-//! Shared-sentinel session multiplexing for the wire strategies.
+//! Session multiplexing: the one wire loop of every unbatched §4.2/§4.3
+//! open.
 //!
 //! The paper's §2.2 prescribes one sentinel per open. For N concurrent
 //! opens of the *same* active file that costs N sentinel threads, N
@@ -6,42 +7,44 @@
 //! per-open handle semantics while sharing the machinery: the first open
 //! spawns the sentinel; later opens *attach* as new sessions on the same
 //! [`MuxHub`], each with a private file pointer, private sticky
-//! write-behind error, and private telemetry scope.
+//! write-behind error, and private telemetry scope. A private
+//! (`share=off`) open is a sentinel with exactly one session, built
+//! without session gauges so it never counts as an attach.
 //!
 //! Division of labour:
 //!
 //! * [`OpMux`] teaches the protocol-agnostic hub the wire shape of
 //!   [`Op`]/[`OpReply`] — which commands carry payload, which replies do,
-//!   which command is the terminal close, and when two writes are
-//!   contiguous (the hub coalesces those into one crossing).
+//!   which command is the terminal close, when two writes are contiguous
+//!   (the hub coalesces those into one crossing), and that a session's
+//!   first frame carries its [`Session`] record.
 //! * [`MuxLoop`] is the sentinel side's wire: it drains framed commands,
 //!   serves writes immediately at drain time (write-behind — wire order is
-//!   the only cross-session order there is), and queues reply-bearing
-//!   operations per session, servicing the sessions round-robin so one
-//!   chatty client cannot starve the rest. What each command means is
-//!   [`SentinelCore::serve`]'s, shared with every other dispatch path.
+//!   the only cross-session order there is), and serves reply-bearing
+//!   operations in arrival order. Each session has at most one of those
+//!   in flight (its handle serialises calls), so arrival order is fair.
+//!   What each command means is [`SentinelCore::serve`]'s, shared with
+//!   every other dispatch path.
 //! * [`SharedSentinel`] is what the open path's registry stores: later
 //!   opens call [`SharedSentinel::attach`] to join; `None` means the
 //!   sentinel already ran its terminal close and a fresh one is needed.
 
-use std::collections::{HashMap, VecDeque};
-
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use afs_ipc::{Framed, MuxHub, MuxProtocol, PairPort, PairTransport};
+use afs_ipc::{CmdFrame, Framed, MuxHub, MuxPort, MuxProtocol, MuxWire};
 use afs_sim::{CostModel, OpTrace};
-use afs_telemetry::{intern, Telemetry};
+use afs_telemetry::{intern, SessionGauges};
 use afs_winapi::Win32Error;
 
 use crate::ctx::SentinelCtx;
 use crate::logic::SentinelLogic;
 use crate::spec::Strategy;
 use crate::strategy::executor::{SentinelPoll, TaskDone, TaskPoll};
+use crate::strategy::fence::PendingWrites;
 use crate::strategy::handle::StrategyHandle;
 use crate::strategy::{
-    send_reply, to_win32, ActiveOps, Instruments, Op, OpReply, SentinelCore, Served, Session,
+    send_reply, to_win32, ActiveOps, Instruments, Op, OpReply, SentinelCore, Session,
 };
 
 /// The wire-shape facts [`MuxHub`] needs about the [`Op`]/[`OpReply`]
@@ -51,6 +54,7 @@ pub(crate) struct OpMux;
 impl MuxProtocol for OpMux {
     type Cmd = Op;
     type Reply = OpReply;
+    type Record = Box<Session>;
 
     fn cmd_payload_len(cmd: &Op) -> usize {
         match cmd {
@@ -94,14 +98,7 @@ impl MuxProtocol for OpMux {
     }
 }
 
-type Wire = PairTransport<Framed<Op>, Framed<OpReply>>;
-type WirePort = PairPort<Framed<Op>, Framed<OpReply>>;
 type OpHub = MuxHub<OpMux>;
-
-/// Each session's sentinel-side state, registered at attach so the
-/// dispatch loop can park write-behind failures and parent spans
-/// correctly.
-type SessionTable = Arc<Mutex<HashMap<u32, Arc<Session>>>>;
 
 /// A running sentinel that later opens of the same `(path, spec)` can
 /// join as additional sessions.
@@ -117,38 +114,35 @@ pub(crate) trait SharedSentinel: Send + Sync {
     fn task_done(&self) -> Option<Arc<TaskDone>>;
 }
 
-/// The shared form of the §4.2/§4.3 wire strategies: one sentinel task,
-/// one transport, many sessions multiplexed over it.
+/// A §4.2/§4.3 wire sentinel: one sentinel task, one transport, one or
+/// more sessions multiplexed over it.
 pub(crate) struct MuxShared {
     hub: Arc<OpHub>,
-    sessions: SessionTable,
     model: CostModel,
     trace: Arc<OpTrace>,
     strategy: &'static str,
-    /// Interned data-part path, for the per-session span note.
-    file: &'static str,
+    /// The data-part path for the per-session span note of a shared
+    /// sentinel; `None` for a private open, whose spans carry no note.
+    file: Option<String>,
     instr: Instruments,
     done: Arc<TaskDone>,
 }
 
 impl SharedSentinel for MuxShared {
     fn attach(&self) -> Option<Arc<dyn ActiveOps>> {
-        let wire = self.hub.attach()?;
         let (mut session, scope) = self.instr.session(self.strategy);
-        // Every sentinel-side span of this session carries the owning
-        // session id and file, so slow-op ancestry and trace dumps name
-        // which of the multiplexed clients an op belongs to.
-        let note = intern(&format!("session={} file={}", wire.session_id(), self.file));
-        session.side = session.side.with_note(note);
         let sticky = Arc::clone(&session.sticky);
-        {
-            // Sessions that closed non-terminally never reach the
-            // dispatch loop, so their records are pruned here instead.
-            let live = self.hub.live_sessions();
-            let mut table = self.sessions.lock();
-            table.retain(|id, _| live.contains(id));
-            table.insert(wire.session_id(), Arc::new(session));
-        }
+        let wire = self.hub.attach(|id| {
+            // Every sentinel-side span of a shared session carries the
+            // owning session id and file, so slow-op ancestry and trace
+            // dumps name which of the multiplexed clients an op belongs
+            // to. Ids are reused, so the notes stay few.
+            if let Some(file) = self.file.as_ref().filter(|_| self.instr.tel.enabled()) {
+                let note = intern(&format!("session={id} file={file}"));
+                session.side = session.side.with_note(note);
+            }
+            Box::new(session)
+        })?;
         Some(Arc::new(StrategyHandle::new(
             wire,
             self.model.clone(),
@@ -171,47 +165,40 @@ impl SharedSentinel for MuxShared {
     }
 }
 
-/// Builds the shared sentinel for a wire strategy (§4.2 kernel pipes or
-/// §4.3 shared memory): runs the open hook once, registers the mux
-/// dispatch state machine on the sentinel executor, and returns the
-/// [`SharedSentinel`] later opens attach through.
-pub(crate) fn open_shared(
+/// Builds a wire sentinel (§4.2 kernel pipes or §4.3 shared memory): runs
+/// the open hook once, registers the mux dispatch state machine on the
+/// sentinel executor, and returns the [`SharedSentinel`] its opens attach
+/// through. `gauges` is `None` for a private open, which attaches its one
+/// session without counting it.
+pub(crate) fn build(
     strategy: Strategy,
     mut logic: Box<dyn SentinelLogic>,
     mut ctx: SentinelCtx,
     model: CostModel,
     trace: Arc<OpTrace>,
     instr: Instruments,
+    gauges: Option<Arc<SessionGauges>>,
 ) -> Result<Arc<MuxShared>, Win32Error> {
     let (label, kernel) = match strategy {
         Strategy::ProcessControl => ("Process", true),
         Strategy::DllThread => ("Thread", false),
-        // §4.1 has no command lane to frame; §4.4 shares inline (dll.rs).
+        // §4.1 has no command lane to frame; §4.4 runs inline (dll.rs).
         Strategy::Process | Strategy::DllOnly => return Err(Win32Error::NotSupported),
     };
     logic.on_open(&mut ctx).map_err(|e| to_win32(&e))?;
-    let file = intern(&ctx.path().file_path().to_string());
+    let file = gauges.as_ref().map(|_| ctx.path().file_path().to_string());
     let (transport, port) = if kernel {
-        Wire::kernel_observed(model.clone(), Arc::clone(instr.tel.gauges()))
+        MuxWire::<OpMux>::kernel_observed(model.clone(), Arc::clone(instr.tel.gauges()))
     } else {
-        Wire::shared_observed(model.clone(), Arc::clone(instr.tel.gauges()))
+        MuxWire::<OpMux>::shared_observed(model.clone(), Arc::clone(instr.tel.gauges()))
     };
-    let hub = MuxHub::new(
-        transport,
-        model.clone(),
-        Some(Arc::clone(instr.tel.sessions())),
-    );
-    let sessions: SessionTable = Arc::new(Mutex::new(HashMap::new()));
     let state = MuxLoop {
         core: SentinelCore::new(logic, ctx, Arc::clone(port.pool())),
         port,
-        sessions: Arc::clone(&sessions),
-        // Frames from sessions that detached before their staged writes
-        // drained still execute, observed under this fallback session.
-        fallback: instr.session(label).0,
-        tel: Arc::clone(&instr.tel),
-        queues: HashMap::new(),
-        rotation: VecDeque::new(),
+        gauges: gauges.clone(),
+        sessions: Vec::new(),
+        queue: VecDeque::new(),
+        writes: instr.writes.clone(),
     };
     let done = instr.spawn_task(move |waker| {
         state.port.set_wakeup(waker);
@@ -220,10 +207,14 @@ pub(crate) fn open_shared(
     // The hub reaps by waiting on the executor's completion cell, the
     // task-world stand-in for joining a dedicated sentinel thread.
     let reaped = Arc::clone(&done);
-    hub.set_reaper(Box::new(move || reaped.wait()));
+    let hub = MuxHub::new(
+        transport,
+        model.clone(),
+        gauges,
+        Box::new(move || reaped.wait()),
+    );
     Ok(Arc::new(MuxShared {
         hub,
-        sessions,
         model,
         trace,
         strategy: label,
@@ -233,157 +224,133 @@ pub(crate) fn open_shared(
     }))
 }
 
-/// One dispatch step's outcome.
-enum Step {
-    /// Keep going.
-    Continue,
-    /// The application side vanished mid-protocol.
-    WireDead,
-    /// The terminal close was served; the loop is done.
-    Closed,
-}
-
 /// The sentinel side of the multiplexed wire: one poll-driven state
 /// machine (scheduled on the sentinel executor) serving every session of
-/// one shared sentinel.
+/// one sentinel.
 struct MuxLoop {
     core: SentinelCore,
-    port: WirePort,
-    sessions: SessionTable,
-    fallback: Session,
-    tel: Arc<Telemetry>,
-    /// Reply-bearing operations awaiting service, per session.
-    queues: HashMap<u32, VecDeque<Op>>,
-    /// Round-robin order over sessions with a non-empty queue (each
-    /// session appears at most once).
-    rotation: VecDeque<u32>,
+    port: MuxPort<OpMux>,
+    /// A shared sentinel's session gauges; `None` for a private open.
+    gauges: Option<Arc<SessionGauges>>,
+    /// The record each session id last announced on the wire. Frames
+    /// arrive in send order and an id is reused only after its previous
+    /// session's last frame, so a frame is always served under its own
+    /// session's record.
+    sessions: Vec<Option<Session>>,
+    /// Reply-bearing commands awaiting service, in arrival order.
+    queue: VecDeque<(u32, Op)>,
+    /// A private open's in-flight write count (see
+    /// [`fence`](crate::strategy::fence)).
+    writes: Option<Arc<PendingWrites>>,
 }
 
 impl MuxLoop {
-    /// Serves `op` for `session` (the fallback when it has detached).
-    fn serve(&mut self, session: u32, op: Op, payload: &[u8]) -> Served {
-        let record = self.sessions.lock().get(&session).cloned();
-        let session = record.as_deref().unwrap_or(&self.fallback);
-        self.core.serve(session, op, payload)
-    }
-
     /// Takes one frame off the wire. Writes are served immediately — they
     /// are acknowledged eagerly on the application side, and executing in
     /// wire order is what makes a flushed batch land before the read that
-    /// forced the flush. Everything that owes a reply queues for fair
-    /// servicing instead.
-    fn ingest(&mut self, frame: Framed<Op>) -> Step {
-        let Framed { session, body: op } = frame;
-        if let Op::Write { len, .. } = op {
-            let mut buf = self.core.pool().take(len as usize);
-            if len > 0 && self.port.recv_data_exact(&mut buf).is_err() {
-                self.core.pool().put(buf);
-                return Step::WireDead;
+    /// forced the flush. Everything that owes a reply queues instead.
+    fn ingest(&mut self, frame: CmdFrame<OpMux>) -> afs_ipc::Result<()> {
+        let Framed {
+            session,
+            body,
+            record,
+        } = frame;
+        if let Some(record) = record {
+            let slot = session as usize;
+            if self.sessions.len() <= slot {
+                self.sessions.resize_with(slot + 1, || None);
             }
-            self.serve(session, op, &buf);
-            self.core.pool().put(buf);
-            return Step::Continue;
+            self.sessions[slot] = Some(*record);
         }
-        let queue = self.queues.entry(session).or_default();
-        if queue.is_empty() {
-            self.rotation.push_back(session);
+        let Op::Write { len, .. } = body else {
+            self.queue.push_back((session, body));
+            return Ok(());
+        };
+        let mut buf = self.core.pool().take(len as usize);
+        let received = match len {
+            0 => Ok(()),
+            _ => self.port.recv_data_exact(&mut buf).map(drop),
+        };
+        if received.is_ok() {
+            self.core
+                .serve(announced(&self.sessions, session), body, &buf);
         }
-        queue.push_back(op);
-        Step::Continue
+        self.core.pool().put(buf);
+        received
     }
 
-    /// Serves one queued reply-bearing operation for `session` and sends
-    /// its reply.
-    fn service(&mut self, session: u32, op: Op) -> Step {
-        let closing = matches!(op, Op::Close);
-        let Some((body, data)) = self.serve(session, op, &[]) else {
-            return Step::Continue;
-        };
-        let reply = Framed { session, body };
-        if send_reply(&self.port, self.core.pool(), reply, data).is_err() {
-            return Step::WireDead;
-        }
-        if closing {
-            Step::Closed
-        } else {
-            Step::Continue
+    /// Serves frames until the wire is quiet (`Pending`) or the terminal
+    /// close has been served (`Ready`); `Err` when the application side
+    /// vanished mid-protocol.
+    fn drain(&mut self) -> afs_ipc::Result<TaskPoll> {
+        loop {
+            // Take the whole backlog first, so the depth gauges see it.
+            // Each observed frame is charged like a blocking receive, so
+            // the virtual timeline does not depend on how frames batch up.
+            while let Some(frame) = self.port.poll_cmd()? {
+                self.ingest(frame)?;
+            }
+            let Some((session, op)) = self.queue.pop_front() else {
+                return Ok(TaskPoll::Pending);
+            };
+            let depth = self.queue.len() as u64 + 1;
+            let record = announced(&self.sessions, session);
+            let closing = matches!(op, Op::Close);
+            let Some((body, data)) = self.core.serve(record, op, &[]) else {
+                continue;
+            };
+            let reply = Framed {
+                session,
+                body,
+                record: (),
+            };
+            let sent = send_reply(&self.port, self.core.pool(), reply, data);
+            // Noted once the reply is out, off the op's critical path.
+            // Every session of one sentinel feeds the same per-sentinel
+            // stats.
+            record.side.stats().note_queue_depth(depth);
+            if let Some(gauges) = &self.gauges {
+                gauges.note_queue_depth(depth);
+            }
+            if closing {
+                // The close hook has run: no epilogue, whatever the send.
+                return Ok(TaskPoll::Ready);
+            }
+            sent?;
         }
     }
 }
 
+/// The record `session` announced on its first frame.
+fn announced(sessions: &[Option<Session>], session: u32) -> &Session {
+    sessions[session as usize]
+        .as_ref()
+        .expect("a session's first frame announces its record")
+}
+
 impl SentinelPoll for MuxLoop {
-    /// One executor quantum: the blocking `recv_cmd` of the old dedicated
-    /// thread becomes `poll_cmd` — same syscall charge when a frame (or
-    /// the closure) is observed, no charge and `Pending` when the lane is
-    /// merely empty — so the mux's virtual timeline is unchanged.
+    /// One executor quantum: `poll_cmd` charges what a blocking receive
+    /// would when a frame (or the closure) is observed, and nothing when
+    /// the lane is merely empty — so the virtual timeline matches a
+    /// dedicated dispatch thread's.
     fn poll(&mut self) -> TaskPoll {
-        loop {
-            // Nothing queued: look for the next frame, parking if the
-            // wire is quiet.
-            if self.rotation.is_empty() {
-                match self.port.poll_cmd() {
-                    Ok(Some(frame)) => {
-                        if matches!(self.ingest(frame), Step::WireDead) {
-                            self.core.abandon();
-                            return TaskPoll::Ready;
-                        }
-                    }
-                    Ok(None) => return TaskPoll::Pending,
-                    Err(_) => {
-                        self.core.abandon();
-                        return TaskPoll::Ready;
-                    }
-                }
-            }
-            // Fairness needs the whole backlog, not wire arrival order:
-            // drain everything already waiting before picking a session.
-            let mut dead = false;
-            loop {
-                match self.port.try_recv_cmd() {
-                    Ok(Some(frame)) => {
-                        if matches!(self.ingest(frame), Step::WireDead) {
-                            dead = true;
-                            break;
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
-                }
-            }
-            if dead {
-                self.core.abandon();
-                return TaskPoll::Ready;
-            }
-            let depth: usize = self.queues.values().map(VecDeque::len).sum();
-            self.tel.sessions().note_queue_depth(depth as u64);
-            self.fallback.side.stats().note_queue_depth(depth as u64);
-            let Some(session) = self.rotation.pop_front() else {
-                continue;
-            };
-            let Some(op) = self.queues.get_mut(&session).and_then(VecDeque::pop_front) else {
-                continue;
-            };
-            if self.queues.get(&session).is_some_and(|q| !q.is_empty()) {
-                self.rotation.push_back(session);
-            }
-            match self.service(session, op) {
-                Step::Continue => {}
-                Step::WireDead => {
-                    self.core.abandon();
-                    return TaskPoll::Ready;
-                }
-                // The terminal close already ran the close hook; no
-                // epilogue.
-                Step::Closed => return TaskPoll::Ready,
-            }
-        }
+        self.drain().unwrap_or_else(|_| {
+            self.core.abandon();
+            TaskPoll::Ready
+        })
     }
 
     fn abandon(&mut self) {
         self.core.abandon();
+    }
+}
+
+impl Drop for MuxLoop {
+    /// Writes still counted in flight will never be applied now.
+    fn drop(&mut self) {
+        if let Some(writes) = &self.writes {
+            writes.settle();
+        }
     }
 }
 

@@ -8,9 +8,12 @@
 //! transfer instead of the pipes' two kernel copies, and thread switches
 //! instead of process switches.
 //!
-//! The wiring is [`PairTransport::shared`]; the command protocol is
-//! identical to the process-plus-control strategy (the six `AF_*` library
-//! calls of Appendix A.3 map onto it):
+//! The wiring is [`PairTransport::shared`], multiplexed like §4.2's (a
+//! private open is the only session of a `mux` sentinel, whose executor
+//! task stands in for "starts a thread for running the orchestration
+//! routine"; `batch=on` wires a submission/completion ring instead). The
+//! command protocol is identical to the process-plus-control strategy (the
+//! six `AF_*` library calls of Appendix A.3 map onto it):
 //!
 //! | Appendix A.3 call        | Here                                      |
 //! |--------------------------|-------------------------------------------|
@@ -23,33 +26,3 @@
 //!
 //! [`SharedBuffer::send`]: afs_ipc::SharedBuffer::send
 //! [`PairTransport::shared`]: afs_ipc::PairTransport::shared
-
-use std::sync::Arc;
-
-use afs_sim::{CostModel, OpTrace};
-use afs_winapi::Win32Error;
-
-use crate::ctx::SentinelCtx;
-use crate::logic::SentinelLogic;
-use crate::strategy::{open_private_wire, ActiveOps, Instruments};
-
-/// Builds the DLL-with-thread strategy for one open: registers the
-/// `SentinelThrdMain` state machine with the sentinel executor (the
-/// bounded-pool stand-in for "starts a thread for running the
-/// orchestration routine") and wires shared-memory buffers plus user-level
-/// control channels. With `batch = Some(depth)` the same substrate is
-/// wired as a submission/completion ring instead — one crossing per batch
-/// (see [`crate::strategy::batch`]).
-pub(crate) fn open(
-    logic: Box<dyn SentinelLogic>,
-    ctx: SentinelCtx,
-    model: CostModel,
-    trace: Arc<OpTrace>,
-    instr: Instruments,
-    batch: Option<usize>,
-) -> Result<Arc<dyn ActiveOps>, Win32Error> {
-    match batch {
-        Some(depth) => crate::strategy::batch::open_shared(logic, ctx, model, trace, instr, depth),
-        None => open_private_wire("Thread", false, logic, ctx, model, trace, instr),
-    }
-}

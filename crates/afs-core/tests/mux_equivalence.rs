@@ -185,10 +185,34 @@ fn share_off_forces_private_sentinels() {
             (0, 0),
             "{strategy:?} share=off: no session gauge moves"
         );
+        // Each private handle writes and reads its own bytes back.
+        for (h, data) in [(h1, b"private-one"), (h2, b"private-two")] {
+            api.set_file_pointer(h, 0, SeekMethod::Begin)
+                .expect("rewind");
+            assert_eq!(api.write_file(h, data).expect("write"), data.len());
+            api.set_file_pointer(h, 0, SeekMethod::Begin)
+                .expect("rewind");
+            let mut buf = [0u8; 11];
+            assert_eq!(api.read_file(h, &mut buf).expect("read"), data.len());
+            assert_eq!(&buf, data, "{strategy:?} share=off: read-back");
+        }
         api.close_handle(h1).expect("close");
         api.close_handle(h2).expect("close");
-        let sessions = world.telemetry().sessions().snapshot();
-        assert_eq!((sessions.attaches, sessions.sessions), (0, 0));
+        // Not one session gauge moved: private opens neither attach nor
+        // feed the session queue-depth, coalescing or flush counters.
+        let s = world.telemetry().sessions().snapshot();
+        assert_eq!(
+            [
+                s.sessions,
+                s.sessions_peak,
+                s.attaches,
+                s.queue_depth_peak,
+                s.coalesced_writes,
+                s.flushed_batches,
+            ],
+            [0; 6],
+            "{strategy:?} share=off: {s:?}"
+        );
     }
 }
 

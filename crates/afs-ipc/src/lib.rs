@@ -53,7 +53,10 @@ pub mod transport;
 pub use control::{ChannelWaker, ControlChannel, ControlReceiver, ControlSender};
 pub use error::IpcError;
 pub use event::{Event, ResetMode};
-pub use mux::{Framed, MuxHub, MuxProtocol, MuxSession, SentinelReaper, STAGE_CAPACITY};
+pub use mux::{
+    CmdFrame, Framed, MuxHub, MuxPort, MuxProtocol, MuxSession, MuxWire, ReplyFrame,
+    SentinelReaper, STAGE_CAPACITY,
+};
 pub use pipe::{Pipe, PipeReader, PipeWriter};
 pub use pool::BufferPool;
 pub use ring::{Cqe, RingPair, RingPort, RingTransport, Sqe};

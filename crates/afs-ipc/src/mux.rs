@@ -3,11 +3,13 @@
 //! The paper's §2.2 rule — one sentinel per open — costs N threads, N
 //! transports, and N incoherent caches for N concurrent opens of the same
 //! active file. A [`MuxHub`] shares one underlying control-capable
-//! [`Transport`] among many *sessions*: each command and reply travels as
-//! a [`Framed`] value carrying its session id, the hub demultiplexes
+//! [`PairTransport`] among many *sessions*: each command and reply travels
+//! as a [`Framed`] value carrying its session id, the hub demultiplexes
 //! replies into per-session mailboxes, and back-to-back contiguous writes
 //! from one session are *coalesced* into a single staged batch that
-//! crosses the protection boundary once instead of once per write.
+//! crosses the protection boundary once instead of once per write. A
+//! private open is a hub with exactly one session, so this is the one
+//! application-side wire of every unbatched §4.2/§4.3 open.
 //!
 //! Cost accounting stays honest: the hub charges the two crossing
 //! switches per *transmitted frame* (so a coalesced write charges only
@@ -18,15 +20,17 @@
 //!
 //! The hub is protocol-agnostic: a [`MuxProtocol`] implementation tells
 //! it how many payload bytes follow a command or reply on the data lane,
-//! which command is the terminal close, and when two payload-carrying
-//! commands form one contiguous transfer.
+//! which command is the terminal close, when two payload-carrying
+//! commands form one contiguous transfer, and what per-session record a
+//! session's first frame carries to the sentinel.
 //!
 //! A session dropped without its close detaches: the hub flushes every
 //! staged write to the sentinel before the session leaves, so a write it
-//! acknowledged is never lost with the session.
+//! acknowledged is never lost with the session. Its id is then free, and
+//! the next attach takes the lowest free id.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
@@ -35,19 +39,23 @@ use afs_sim::{clock, Cost, CostModel, CrossingKind, SimTime};
 use afs_telemetry::SessionGauges;
 
 use crate::pool::BufferPool;
-use crate::{handoff, IpcError, PairTransport, Result, Transport};
+use crate::{handoff, IpcError, PairPort, PairTransport, Result, Transport};
 
 /// Writes staged per session before a forced flush; bounds both memory
 /// and the latency outlier of the flush-carrying operation.
 pub const STAGE_CAPACITY: usize = 64 * 1024;
 
-/// A command or reply framed with the session it belongs to.
+/// A command or reply framed with the session it belongs to. A command
+/// frame's `record` is its session's record on the session's first frame
+/// and `None` after; a reply frame's is `()`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Framed<T> {
+pub struct Framed<T, S = ()> {
     /// The session the body belongs to.
     pub session: u32,
     /// The framed command or reply.
     pub body: T,
+    /// The sending session's record, on its first command frame.
+    pub record: S,
 }
 
 /// The wire-shape facts of a command protocol: what a [`Transport`]
@@ -59,6 +67,13 @@ pub trait MuxProtocol: Send + Sync + 'static {
     type Cmd: Send + 'static;
     /// Reply type carried sentinel → app.
     type Reply: Send + 'static;
+    /// The per-session state the sentinel serves a session's commands
+    /// under. A session's first frame carries it, and the sentinel keeps
+    /// it under the session's id until a later session with that id
+    /// announces its own. An id is freed only once every frame of its
+    /// session is on the wire, so the record the sentinel holds for an
+    /// id is always the sending session's.
+    type Record: Send + 'static;
 
     /// Payload bytes that follow `cmd` on the data lane (a write's data).
     fn cmd_payload_len(cmd: &Self::Cmd) -> usize;
@@ -78,17 +93,41 @@ pub trait MuxProtocol: Send + Sync + 'static {
     fn coalesce(acc: &Self::Cmd, next: &Self::Cmd) -> Option<Self::Cmd>;
 }
 
+/// A command frame of protocol `P`.
+pub type CmdFrame<P> = Framed<<P as MuxProtocol>::Cmd, Option<<P as MuxProtocol>::Record>>;
+
+/// A reply frame of protocol `P`.
+pub type ReplyFrame<P> = Framed<<P as MuxProtocol>::Reply>;
+
+/// The wire a hub multiplexes: a pair wiring carrying framed commands
+/// and replies.
+pub type MuxWire<P> = PairTransport<CmdFrame<P>, ReplyFrame<P>>;
+
+/// The sentinel side of a [`MuxWire`].
+pub type MuxPort<P> = PairPort<CmdFrame<P>, ReplyFrame<P>>;
+
 /// One session's staged, not-yet-transmitted contiguous write batch.
 struct WriteStage<C> {
     cmd: C,
     buf: Vec<u8>,
 }
 
+/// One session id's send-side state.
+struct SendSlot<P: MuxProtocol> {
+    /// Attached and not yet closed.
+    live: bool,
+    /// The session's record, until its first frame carries it.
+    unsent: Option<P::Record>,
+    stage: Option<WriteStage<P::Cmd>>,
+}
+
 /// Send-side state, guarded by one lock so a command frame and its
 /// payload bytes reach the underlying lanes back to back.
 struct SendState<P: MuxProtocol> {
-    stages: HashMap<u32, WriteStage<P::Cmd>>,
-    live: Vec<u32>,
+    /// Indexed by session id.
+    slots: Vec<SendSlot<P>>,
+    /// Live sessions.
+    live: usize,
     /// The terminal close went out (or the wire died): no more sends.
     closed: bool,
 }
@@ -97,34 +136,32 @@ struct SendState<P: MuxProtocol> {
 /// whatever payload bytes rode the data lane with it.
 type Mailbox<R> = VecDeque<(R, Vec<u8>)>;
 
-/// Receive-side state: demultiplexed replies waiting for their session.
-struct RecvState<P: MuxProtocol> {
-    mailboxes: HashMap<u32, Mailbox<P::Reply>>,
-    /// Some session thread is blocked pulling from the underlying wire;
-    /// everyone else waits on the condvar instead of contending.
-    pulling: bool,
-    dead: bool,
-}
-
-/// The wire a hub multiplexes: a pair wiring carrying framed commands
-/// and replies.
-type Wire<P> = PairTransport<Framed<<P as MuxProtocol>::Cmd>, Framed<<P as MuxProtocol>::Reply>>;
-
 /// The application-side multiplexer: owns the single underlying
 /// transport and hands out per-session [`MuxSession`] transports.
 pub struct MuxHub<P: MuxProtocol> {
-    under: Wire<P>,
+    under: MuxWire<P>,
     model: CostModel,
     pool: BufferPool,
     send: Mutex<SendState<P>>,
-    recv: Mutex<RecvState<P>>,
+    /// Demultiplexed replies, one mailbox per session id; `None` marks an
+    /// id no session holds.
+    mailboxes: Mutex<Vec<Option<Mailbox<P::Reply>>>>,
     recv_ready: Condvar,
-    next_session: AtomicU32,
+    /// A session is pulling from the underlying wire; the others wait on
+    /// `recv_ready` instead of contending.
+    pulling: AtomicBool,
+    /// The wire failed mid-reply: every later receive fails.
+    dead: AtomicBool,
+    /// Replies parked in mailboxes. While it is 0 a puller needs no lock.
+    parked: AtomicUsize,
+    /// Sessions parked on `recv_ready`. A notify costs a wake syscall
+    /// even with nobody to wake, so it is sent only when this is nonzero.
+    waiting: AtomicUsize,
+    /// `None` for a private open, which is not an attach.
     gauges: Option<Arc<SessionGauges>>,
-    /// Reaps the shared sentinel — joining a dedicated thread or waiting
-    /// on an executor task's completion — and returns its final virtual
-    /// time; the session that transmits the terminal close runs it and
-    /// folds that time in.
+    /// Reaps the sentinel — waiting on an executor task's completion —
+    /// and returns its final virtual time; the session that transmits
+    /// the terminal close runs it and folds that time in.
     reaper: Mutex<Option<SentinelReaper>>,
 }
 
@@ -133,50 +170,69 @@ pub struct MuxHub<P: MuxProtocol> {
 pub type SentinelReaper = Box<dyn FnOnce() -> SimTime + Send>;
 
 impl<P: MuxProtocol> MuxHub<P> {
-    /// Wraps `under`, charging crossings and staging copies to `model`.
-    pub fn new(under: Wire<P>, model: CostModel, gauges: Option<Arc<SessionGauges>>) -> Arc<Self> {
+    /// Wraps `under`, charging crossings and staging copies to `model`;
+    /// the terminal close runs `reaper`.
+    pub fn new(
+        under: MuxWire<P>,
+        model: CostModel,
+        gauges: Option<Arc<SessionGauges>>,
+        reaper: SentinelReaper,
+    ) -> Arc<Self> {
         Arc::new(MuxHub {
             under,
             model,
             pool: BufferPool::new(),
             send: Mutex::new(SendState {
-                stages: HashMap::new(),
-                live: Vec::new(),
+                slots: Vec::new(),
+                live: 0,
                 closed: false,
             }),
-            recv: Mutex::new(RecvState {
-                mailboxes: HashMap::new(),
-                pulling: false,
-                dead: false,
-            }),
+            mailboxes: Mutex::new(Vec::new()),
             recv_ready: Condvar::new(),
-            next_session: AtomicU32::new(1),
+            pulling: AtomicBool::new(false),
+            dead: AtomicBool::new(false),
+            parked: AtomicUsize::new(0),
+            waiting: AtomicUsize::new(0),
             gauges,
-            reaper: Mutex::new(None),
+            reaper: Mutex::new(Some(reaper)),
         })
     }
 
-    /// Registers the reaper the terminal close will run.
-    pub fn set_reaper(&self, reaper: SentinelReaper) {
-        *self.reaper.lock() = Some(reaper);
-    }
-
-    /// Attaches a new session, or `None` once the hub has closed (the
-    /// caller then spawns a fresh sentinel instead).
-    pub fn attach(self: &Arc<Self>) -> Option<MuxSession<P>> {
+    /// Attaches a new session under the lowest free id, its first frame
+    /// carrying `record(id)`; `None` once the hub has closed (the caller
+    /// then spawns a fresh sentinel instead).
+    pub fn attach(
+        self: &Arc<Self>,
+        record: impl FnOnce(u32) -> P::Record,
+    ) -> Option<MuxSession<P>> {
+        let mut s = self.send.lock();
+        if s.closed {
+            return None;
+        }
         let id = {
-            let mut s = self.send.lock();
-            if s.closed {
-                return None;
-            }
-            let id = self.next_session.fetch_add(1, Ordering::Relaxed);
-            s.live.push(id);
-            if let Some(g) = &self.gauges {
-                g.attached(s.live.len() as u64);
-            }
-            id
+            let mut mailboxes = self.mailboxes.lock();
+            let free = mailboxes.iter().position(Option::is_none);
+            let free = free.unwrap_or_else(|| {
+                mailboxes.push(None);
+                mailboxes.len() - 1
+            });
+            mailboxes[free] = Some(VecDeque::new());
+            free as u32
         };
-        self.recv.lock().mailboxes.insert(id, VecDeque::new());
+        let slot = SendSlot {
+            live: true,
+            unsent: Some(record(id)),
+            stage: None,
+        };
+        match s.slots.get_mut(id as usize) {
+            Some(free) => *free = slot,
+            None => s.slots.push(slot),
+        }
+        s.live += 1;
+        if let Some(g) = &self.gauges {
+            g.attached(s.live as u64);
+        }
+        drop(s);
         Some(MuxSession {
             hub: Arc::clone(self),
             id,
@@ -184,9 +240,12 @@ impl<P: MuxProtocol> MuxHub<P> {
         })
     }
 
-    /// Session ids currently attached.
+    /// Session ids currently attached, lowest first.
     pub fn live_sessions(&self) -> Vec<u32> {
-        self.send.lock().live.clone()
+        let s = self.send.lock();
+        (0..s.slots.len() as u32)
+            .filter(|&id| s.slots[id as usize].live)
+            .collect()
     }
 
     /// Whether the terminal close has gone out.
@@ -205,14 +264,40 @@ impl<P: MuxProtocol> MuxHub<P> {
     /// Charges the round trip and puts one frame (plus payload) on the
     /// wire. Must run under the send lock so the command and its payload
     /// stay adjacent on the data lane.
-    fn transmit_locked(&self, session: u32, cmd: P::Cmd, payload: &[u8]) -> Result<()> {
+    fn transmit_locked(
+        &self,
+        s: &mut SendState<P>,
+        session: u32,
+        cmd: P::Cmd,
+        payload: &[u8],
+    ) -> Result<()> {
         let crossing = self.under.crossing();
         for _ in 0..crossing.round_trip_switches() {
             self.model.charge(Cost::Crossing(crossing));
         }
-        self.under.send_cmd(Framed { session, body: cmd })?;
+        self.under.send_cmd(Framed {
+            session,
+            body: cmd,
+            record: s.slots[session as usize].unsent.take(),
+        })?;
         if !payload.is_empty() {
             self.under.send_data(payload)?;
+        }
+        Ok(())
+    }
+
+    /// Transmits one session's staged batch.
+    fn transmit_stage(
+        &self,
+        s: &mut SendState<P>,
+        session: u32,
+        stage: WriteStage<P::Cmd>,
+    ) -> Result<()> {
+        let result = self.transmit_locked(s, session, stage.cmd, &stage.buf);
+        self.pool.put(stage.buf);
+        result?;
+        if let Some(g) = &self.gauges {
+            g.flushed_batch();
         }
         Ok(())
     }
@@ -223,15 +308,9 @@ impl<P: MuxProtocol> MuxHub<P> {
     /// *after* earlier writes — a read, a size query, a close — forces
     /// this, preserving cross-session read-your-writes.
     fn flush_stages_locked(&self, s: &mut SendState<P>) -> Result<()> {
-        let mut ids: Vec<u32> = s.stages.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let stage = s.stages.remove(&id).expect("staged id");
-            let result = self.transmit_locked(id, stage.cmd, &stage.buf);
-            self.pool.put(stage.buf);
-            result?;
-            if let Some(g) = &self.gauges {
-                g.flushed_batch();
+        for id in 0..s.slots.len() {
+            if let Some(stage) = s.slots[id].stage.take() {
+                self.transmit_stage(s, id as u32, stage)?;
             }
         }
         Ok(())
@@ -244,7 +323,7 @@ impl<P: MuxProtocol> MuxHub<P> {
             return Err(IpcError::BrokenPipe);
         }
         self.flush_stages_locked(&mut s)?;
-        self.transmit_locked(session, cmd, &[])
+        self.transmit_locked(&mut s, session, cmd, &[])
     }
 
     /// Sends (or stages) a payload-carrying command. With a single live
@@ -256,11 +335,12 @@ impl<P: MuxProtocol> MuxHub<P> {
         if s.closed {
             return Err(IpcError::BrokenPipe);
         }
-        if s.live.len() <= 1 {
+        if s.live <= 1 {
             self.flush_stages_locked(&mut s)?;
-            return self.transmit_locked(session, cmd, data);
+            return self.transmit_locked(&mut s, session, cmd, data);
         }
-        if let Some(stage) = s.stages.get_mut(&session) {
+        let slot = session as usize;
+        if let Some(stage) = s.slots[slot].stage.as_mut() {
             if stage.buf.len() + data.len() <= STAGE_CAPACITY {
                 if let Some(merged) = P::coalesce(&stage.cmd, &cmd) {
                     stage.cmd = merged;
@@ -273,25 +353,21 @@ impl<P: MuxProtocol> MuxHub<P> {
                 }
             }
             // Full or non-contiguous: the old batch goes out first.
-            let stage = s.stages.remove(&session).expect("stage");
-            let result = self.transmit_locked(session, stage.cmd, &stage.buf);
-            self.pool.put(stage.buf);
-            result?;
-            if let Some(g) = &self.gauges {
-                g.flushed_batch();
-            }
+            let stage = s.slots[slot].stage.take().expect("stage");
+            self.transmit_stage(&mut s, session, stage)?;
         }
         let mut buf = self.pool.take_capacity(data.len().min(STAGE_CAPACITY));
         buf.extend_from_slice(data);
         self.model.charge(Cost::Memcpy { bytes: data.len() });
-        s.stages.insert(session, WriteStage { cmd, buf });
+        s.slots[slot].stage = Some(WriteStage { cmd, buf });
         Ok(())
     }
 
     /// Flushes every stage, then removes `session` from the live set.
     fn leave_locked(&self, s: &mut SendState<P>, session: u32) -> Result<()> {
         self.flush_stages_locked(s)?;
-        s.live.retain(|&id| id != session);
+        s.slots[session as usize].live = false;
+        s.live -= 1;
         if let Some(g) = &self.gauges {
             g.detached();
         }
@@ -301,40 +377,101 @@ impl<P: MuxProtocol> MuxHub<P> {
     /// Detaches `session` with close command `cmd`. A non-final close is
     /// acknowledged locally — the shared sentinel must keep running; the
     /// final close flushes, transmits, and marks the hub closed.
-    fn send_close(&self, session: u32, cmd: P::Cmd, closing: &AtomicBool) -> Result<()> {
+    fn send_close(&self, session: &MuxSession<P>, cmd: P::Cmd) -> Result<()> {
         let mut s = self.send.lock();
         if s.closed {
             return Err(IpcError::BrokenPipe);
         }
-        self.leave_locked(&mut s, session)?;
-        if s.live.is_empty() {
+        self.leave_locked(&mut s, session.id)?;
+        if s.live == 0 {
             s.closed = true;
-            closing.store(true, Ordering::SeqCst);
+            session.closing.store(true, Ordering::SeqCst);
             if let Some(g) = &self.gauges {
                 g.terminal_close();
             }
-            self.transmit_locked(session, cmd, &[])
+            self.transmit_locked(&mut s, session.id, cmd, &[])
         } else {
             drop(s);
-            let mut rs = self.recv.lock();
-            if let Some(mailbox) = rs.mailboxes.get_mut(&session) {
-                mailbox.push_back((P::close_ack(), Vec::new()));
-            }
-            self.recv_ready.notify_all();
+            self.deposit(session.id, P::close_ack(), Vec::new());
             Ok(())
         }
     }
 
-    /// Detaches a session dropped without its close. Its staged writes
-    /// (and every other session's) go to the sentinel first: they were
-    /// acknowledged, so they must not vanish with the session.
+    /// Detaches a session dropped without its close, and frees its id.
+    /// Its staged writes (and every other session's) go to the sentinel
+    /// first: they were acknowledged, so they must not vanish with the
+    /// session.
     fn detach(&self, session: u32) {
         let mut s = self.send.lock();
-        if !s.closed && s.live.contains(&session) {
+        if !s.closed && s.slots[session as usize].live {
             let _ = self.leave_locked(&mut s, session);
         }
+        s.slots[session as usize].unsent = None;
         drop(s);
-        self.recv.lock().mailboxes.remove(&session);
+        if let Some(mailbox) = self.mailboxes.lock()[session as usize].take() {
+            for (_, buf) in mailbox {
+                self.parked.fetch_sub(1, Ordering::SeqCst);
+                self.pool.put(buf);
+            }
+        }
+    }
+
+    /// Parks `reply` and its bytes in `session`'s mailbox (dropping them
+    /// if the session is gone).
+    fn deposit(&self, session: u32, reply: P::Reply, buf: Vec<u8>) {
+        let mut mailboxes = self.mailboxes.lock();
+        match mailboxes.get_mut(session as usize).and_then(Option::as_mut) {
+            Some(mailbox) => {
+                mailbox.push_back((reply, buf));
+                self.parked.fetch_add(1, Ordering::SeqCst);
+            }
+            None => self.pool.put(buf),
+        }
+    }
+
+    /// Takes `session`'s next parked reply, if any, its bytes landing in
+    /// `out`.
+    fn take_parked(&self, session: u32, out: &mut [u8]) -> Option<P::Reply> {
+        let (reply, buf) = self.mailboxes.lock()[session as usize]
+            .as_mut()?
+            .pop_front()?;
+        self.parked.fetch_sub(1, Ordering::SeqCst);
+        if let Some(dest) = out.get_mut(..buf.len()).filter(|d| !d.is_empty()) {
+            dest.copy_from_slice(&buf);
+            // The wire transfer was charged when a peer pulled this reply
+            // on our behalf; the copy out of its staging buffer is an
+            // extra user-level copy the demultiplexer really performs, so
+            // it is charged too.
+            self.model.charge(Cost::Memcpy { bytes: buf.len() });
+        }
+        self.pool.put(buf);
+        Some(reply)
+    }
+
+    /// Lets go of the wire, waking the sessions parked on it.
+    fn release_wire(&self) {
+        self.pulling.store(false, Ordering::SeqCst);
+        if self.waiting.load(Ordering::SeqCst) > 0 {
+            let _mailboxes = self.mailboxes.lock();
+            self.recv_ready.notify_all();
+        }
+    }
+
+    /// Waits — spinning first, then parked — until no session owns the
+    /// wire.
+    fn await_wire(&self) {
+        let idle = || !self.pulling.load(Ordering::SeqCst);
+        if handoff::spin_until(idle) {
+            return;
+        }
+        let mut mailboxes = self.mailboxes.lock();
+        // Counted before the flag is re-read, so a release either sees
+        // this waiter or is seen by it.
+        self.waiting.fetch_add(1, Ordering::SeqCst);
+        while !idle() {
+            self.recv_ready.wait(&mut mailboxes);
+        }
+        self.waiting.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// Returns the next reply for `session`, its payload bytes landing in
@@ -345,73 +482,64 @@ impl<P: MuxProtocol> MuxHub<P> {
     /// deposited in that session's mailbox; the puller's *own* payload
     /// drains straight from the data lane into `out` with no staging
     /// copy, which keeps the uncontended profile identical to a private
-    /// transport. A reply announcing more bytes than `out` holds is
-    /// returned without its bytes, for the caller to reject.
+    /// transport. While no reply is parked, a pull takes no lock at all.
+    /// A reply announcing more bytes than `out` holds is returned without
+    /// its bytes, for the caller to reject.
     fn recv_for(&self, session: u32, out: &mut [u8]) -> Result<P::Reply> {
-        let mut rs = self.recv.lock();
         loop {
-            match rs.mailboxes.get_mut(&session) {
-                Some(mailbox) => {
-                    if let Some((reply, buf)) = mailbox.pop_front() {
-                        drop(rs);
-                        if let Some(dest) = out.get_mut(..buf.len()).filter(|d| !d.is_empty()) {
-                            dest.copy_from_slice(&buf);
-                            // The wire transfer was charged when a peer
-                            // pulled this reply on our behalf; the copy
-                            // out of its staging buffer is an extra
-                            // user-level copy the demultiplexer really
-                            // performs, so it is charged too.
-                            self.model.charge(Cost::Memcpy { bytes: buf.len() });
-                        }
-                        self.pool.put(buf);
-                        return Ok(reply);
-                    }
+            if self.parked.load(Ordering::SeqCst) > 0 {
+                if let Some(reply) = self.take_parked(session, out) {
+                    return Ok(reply);
                 }
-                None => return Err(IpcError::BrokenPipe),
             }
-            if rs.dead {
-                return Err(IpcError::BrokenPipe);
-            }
-            if rs.pulling {
-                // Another waiter owns the wire: spin for its demux to
-                // finish (or to deliver our reply) before parking.
-                let settled = |rs: &RecvState<P>| {
-                    !rs.pulling
-                        || rs.dead
-                        || rs.mailboxes.get(&session).is_none_or(|m| !m.is_empty())
-                };
-                drop(rs);
-                rs = handoff::lock_when(&self.recv, settled);
-                if !settled(&rs) {
-                    self.recv_ready.wait(&mut rs);
-                }
+            if self
+                .pulling
+                .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+                .is_err()
+            {
+                self.await_wire();
                 continue;
             }
-            rs.pulling = true;
-            drop(rs);
-            let pulled = self.under.recv_reply().and_then(|frame| {
-                let n = P::reply_payload_len(&frame.body);
-                if frame.session == session {
-                    self.under.recv_payload(n, out)?;
-                    return Ok(Pulled::Own(frame.body));
-                }
-                let mut buf = self.pool.take(n);
-                self.under.recv_payload(n, &mut buf)?;
-                Ok(Pulled::Other(frame.session, frame.body, buf))
-            });
-            rs = self.recv.lock();
-            rs.pulling = false;
-            self.recv_ready.notify_all();
-            match pulled {
-                Ok(Pulled::Own(reply)) => return Ok(reply),
-                Ok(Pulled::Other(id, reply, buf)) => match rs.mailboxes.get_mut(&id) {
-                    Some(mailbox) => mailbox.push_back((reply, buf)),
-                    None => self.pool.put(buf),
-                },
-                Err(_) => {
-                    rs.dead = true;
-                    return Err(IpcError::BrokenPipe);
-                }
+            let pulled = self.pull(session, out);
+            self.release_wire();
+            if let Some(result) = pulled {
+                return result;
+            }
+        }
+    }
+
+    /// With the wire held: `session`'s reply, or `None` once another
+    /// session's reply has been pulled and parked instead.
+    fn pull(&self, session: u32, out: &mut [u8]) -> Option<Result<P::Reply>> {
+        // Pullers park replies before they let go of the wire, so once we
+        // hold it every reply parked for us is visible.
+        if self.parked.load(Ordering::SeqCst) > 0 {
+            if let Some(reply) = self.take_parked(session, out) {
+                return Some(Ok(reply));
+            }
+        }
+        if self.dead.load(Ordering::SeqCst) {
+            return Some(Err(IpcError::BrokenPipe));
+        }
+        let pulled = self.under.recv_reply().and_then(|frame| {
+            let n = P::reply_payload_len(&frame.body);
+            if frame.session == session {
+                self.under.recv_payload(n, out)?;
+                return Ok(Pulled::Own(frame.body));
+            }
+            let mut buf = self.pool.take(n);
+            self.under.recv_payload(n, &mut buf)?;
+            Ok(Pulled::Other(frame.session, frame.body, buf))
+        });
+        match pulled {
+            Ok(Pulled::Own(reply)) => Some(Ok(reply)),
+            Ok(Pulled::Other(id, reply, buf)) => {
+                self.deposit(id, reply, buf);
+                None
+            }
+            Err(_) => {
+                self.dead.store(true, Ordering::SeqCst);
+                Some(Err(IpcError::BrokenPipe))
             }
         }
     }
@@ -431,7 +559,7 @@ pub struct MuxSession<P: MuxProtocol> {
     hub: Arc<MuxHub<P>>,
     id: u32,
     /// This session transmitted the terminal close; its acknowledgement
-    /// reaps the sentinel thread.
+    /// reaps the sentinel.
     closing: AtomicBool,
 }
 
@@ -439,11 +567,6 @@ impl<P: MuxProtocol> MuxSession<P> {
     /// This session's id on the hub.
     pub fn session_id(&self) -> u32 {
         self.id
-    }
-
-    /// The hub this session rides on.
-    pub fn hub(&self) -> &Arc<MuxHub<P>> {
-        &self.hub
     }
 }
 
@@ -466,7 +589,7 @@ impl<P: MuxProtocol> Transport<P> for MuxSession<P> {
 
     fn call(&self, cmd: P::Cmd, out: &mut [u8]) -> Result<P::Reply> {
         if P::is_close(&cmd) {
-            self.hub.send_close(self.id, cmd, &self.closing)?;
+            self.hub.send_close(self, cmd)?;
         } else {
             self.hub.send_plain(self.id, cmd)?;
         }
@@ -489,7 +612,6 @@ impl<P: MuxProtocol> Drop for MuxSession<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PairTransport;
 
     /// A toy protocol: `(tag, offset, len)` commands where tag 1 writes
     /// `len` payload bytes, tag 2 reads, tag 9 closes; replies `(n,)`
@@ -511,6 +633,7 @@ mod tests {
     impl MuxProtocol for Toy {
         type Cmd = ToyCmd;
         type Reply = ToyReply;
+        type Record = u32;
 
         fn cmd_payload_len(cmd: &ToyCmd) -> usize {
             if cmd.tag == 1 {
@@ -545,10 +668,28 @@ mod tests {
     }
 
     type ToyHub = Arc<MuxHub<Toy>>;
+    type ToyPort = MuxPort<Toy>;
 
-    fn hub() -> (ToyHub, crate::PairPort<Framed<ToyCmd>, Framed<ToyReply>>) {
-        let (transport, port) = PairTransport::shared(CostModel::free());
-        (MuxHub::new(transport, CostModel::free(), None), port)
+    fn hub_over(wire: (MuxWire<Toy>, ToyPort), model: CostModel) -> (ToyHub, ToyPort) {
+        let (transport, port) = wire;
+        (MuxHub::new(transport, model, None, Box::new(|| 0)), port)
+    }
+
+    fn hub() -> (ToyHub, ToyPort) {
+        hub_over(PairTransport::shared(CostModel::free()), CostModel::free())
+    }
+
+    /// Attaches a session whose record is its id plus 100.
+    fn attach(hub: &ToyHub) -> MuxSession<Toy> {
+        hub.attach(|id| id + 100).expect("attach")
+    }
+
+    fn reply(session: u32, n: u32) -> ReplyFrame<Toy> {
+        Framed {
+            session,
+            body: ToyReply { n },
+            record: (),
+        }
     }
 
     fn write(offset: u64, len: u32) -> ToyCmd {
@@ -569,19 +710,15 @@ mod tests {
 
     /// Queues the sentinel's reply to `session` ahead of the call that
     /// waits for it.
-    fn reply_to(port: &crate::PairPort<Framed<ToyCmd>, Framed<ToyReply>>, session: u32) {
-        port.send_reply(Framed {
-            session,
-            body: ToyReply { n: 0 },
-        })
-        .expect("reply");
+    fn reply_to(port: &ToyPort, session: u32) {
+        port.send_reply(reply(session, 0)).expect("reply");
     }
 
     #[test]
     fn frames_carry_session_ids_and_replies_demultiplex() {
         let (hub, port) = hub();
-        let a = hub.attach().expect("a");
-        let b = hub.attach().expect("b");
+        let a = attach(&hub);
+        let b = attach(&hub);
         let (id_a, id_b) = (a.session_id(), b.session_id());
         // The data lane is a rendezvous (one-slot / bounded), so the
         // sentinel side runs on its own thread, like the real loop.
@@ -590,17 +727,9 @@ mod tests {
             assert_eq!(fa.session, id_a);
             // Reply out of request order: b's reply goes out before b
             // has even asked, and before a's.
-            port.send_reply(Framed {
-                session: id_b,
-                body: ToyReply { n: 4 },
-            })
-            .expect("reply b");
+            port.send_reply(reply(id_b, 4)).expect("reply b");
             port.send_data(b"BBBB").expect("data b");
-            port.send_reply(Framed {
-                session: fa.session,
-                body: ToyReply { n: 4 },
-            })
-            .expect("reply a");
+            port.send_reply(reply(fa.session, 4)).expect("reply a");
             port.send_data(b"AAAA").expect("data a");
             let fb = port.recv_cmd().expect("frame b");
             assert_eq!(fb.session, id_b);
@@ -622,13 +751,13 @@ mod tests {
     #[test]
     fn contiguous_writes_coalesce_into_one_frame_under_contention() {
         let (hub, port) = hub();
-        let a = hub.attach().expect("a");
-        let _b = hub.attach().expect("b"); // second session switches staging on
+        let a = attach(&hub);
+        let _b = attach(&hub); // second session switches staging on
         for i in 0..4u64 {
             a.post(write(i * 4, 4), b"wxyz").expect("write");
         }
         // Nothing on the wire yet: all four writes sit in one stage.
-        assert_eq!(port.try_recv_cmd().expect("empty"), None);
+        assert_eq!(port.poll_cmd().expect("empty"), None);
         // A read forces the flush: the batch frame precedes the read.
         reply_to(&port, a.session_id());
         a.call(op(2), &mut []).expect("read");
@@ -643,7 +772,7 @@ mod tests {
     #[test]
     fn single_session_writes_go_straight_to_the_wire() {
         let (hub, port) = hub();
-        let a = hub.attach().expect("a");
+        let a = attach(&hub);
         a.post(write(0, 3), b"abc").expect("write");
         let frame = port.recv_cmd().expect("frame");
         assert_eq!(frame.body.len, 3);
@@ -655,30 +784,31 @@ mod tests {
     #[test]
     fn only_the_last_close_reaches_the_wire() {
         let (hub, port) = hub();
-        let a = hub.attach().expect("a");
-        let b = hub.attach().expect("b");
+        let a = attach(&hub);
+        let b = attach(&hub);
         // a's close is acknowledged locally, nothing on the wire.
         assert_eq!(
             a.call(op(9), &mut []).expect("local ack"),
             ToyReply { n: 0 }
         );
-        assert_eq!(port.try_recv_cmd().expect("empty"), None);
+        assert_eq!(port.poll_cmd().expect("empty"), None);
         assert_eq!(hub.live_sessions(), vec![b.session_id()]);
         reply_to(&port, b.session_id());
         b.call(op(9), &mut []).expect("b close");
         assert_eq!(port.recv_cmd().expect("wire close").body.tag, 9);
         assert!(hub.is_closed());
-        assert!(hub.attach().is_none(), "closed hub refuses new sessions");
+        assert!(
+            hub.attach(|id| id).is_none(),
+            "closed hub refuses new sessions"
+        );
     }
 
     #[test]
     fn crossings_are_charged_per_frame_not_per_write() {
         let model = CostModel::new(afs_sim::HardwareProfile::pentium_ii_300());
-        let (transport, port) =
-            PairTransport::<Framed<ToyCmd>, Framed<ToyReply>>::shared(model.clone());
-        let hub: ToyHub = MuxHub::new(transport, model.clone(), None);
-        let a = hub.attach().expect("a");
-        let _b = hub.attach().expect("b");
+        let (hub, port) = hub_over(PairTransport::shared(model.clone()), model.clone());
+        let a = attach(&hub);
+        let _b = attach(&hub);
         let before = model.snapshot();
         for i in 0..8u64 {
             a.post(write(i * 2, 2), b"hi").expect("write");
@@ -695,8 +825,8 @@ mod tests {
     #[test]
     fn non_contiguous_writes_flush_the_stage() {
         let (hub, port) = hub();
-        let a = hub.attach().expect("a");
-        let _b = hub.attach().expect("b");
+        let a = attach(&hub);
+        let _b = attach(&hub);
         a.post(write(0, 2), b"aa").expect("write");
         a.post(write(100, 2), b"bb").expect("write");
         // The non-contiguous second write pushed the first out.
@@ -705,16 +835,16 @@ mod tests {
         let mut buf = [0u8; 2];
         port.recv_data_exact(&mut buf).expect("payload");
         assert_eq!(&buf, b"aa");
-        assert_eq!(port.try_recv_cmd().expect("second still staged"), None);
+        assert_eq!(port.poll_cmd().expect("second still staged"), None);
     }
 
     #[test]
     fn a_dropped_session_delivers_its_staged_writes() {
         let (hub, port) = hub();
-        let a = hub.attach().expect("a");
-        let b = hub.attach().expect("b");
+        let a = attach(&hub);
+        let b = attach(&hub);
         a.post(write(0, 2), b"aa").expect("write");
-        assert_eq!(port.try_recv_cmd().expect("staged"), None);
+        assert_eq!(port.poll_cmd().expect("staged"), None);
         drop(a);
         let frame = port.recv_cmd().expect("flushed on drop");
         assert_eq!(frame.body, write(0, 2));
@@ -722,5 +852,64 @@ mod tests {
         port.recv_data_exact(&mut buf).expect("payload");
         assert_eq!(&buf, b"aa");
         assert_eq!(hub.live_sessions(), vec![b.session_id()]);
+    }
+
+    #[test]
+    fn a_freed_id_goes_to_the_next_attach() {
+        let (hub, port) = hub();
+        let a = attach(&hub);
+        let b = attach(&hub);
+        let freed = a.session_id();
+        drop(a);
+        let c = attach(&hub);
+        assert_eq!(c.session_id(), freed, "the lowest free id is reused");
+        assert_ne!(c.session_id(), b.session_id());
+        assert_eq!(hub.live_sessions(), vec![freed, b.session_id()]);
+        // The new holder of the id announces its own record on its first
+        // frame, and only there.
+        for record in [Some(freed + 100), None] {
+            c.post(write(0, 0), &[]).expect("empty write");
+            let frame = port.recv_cmd().expect("frame");
+            assert_eq!((frame.session, frame.record), (freed, record));
+        }
+    }
+
+    #[test]
+    fn a_lone_session_drains_an_oversized_reply_and_stays_framed() {
+        let (hub, port) = hub_over(PairTransport::kernel(CostModel::free()), CostModel::free());
+        let a = attach(&hub);
+        port.send_reply(reply(a.session_id(), 6))
+            .expect("oversized reply");
+        port.send_data(b"excess").expect("excess bytes");
+        port.send_reply(reply(a.session_id(), 2))
+            .expect("next reply");
+        port.send_data(b"ok").expect("next bytes");
+        let mut out = [0u8; 2];
+        // The reply is returned for the caller to reject; its bytes are
+        // gone from the lane, so the next call reads its own.
+        assert_eq!(a.call(op(2), &mut out), Ok(ToyReply { n: 6 }));
+        assert_eq!(a.call(op(2), &mut out), Ok(ToyReply { n: 2 }));
+        assert_eq!(&out, b"ok");
+    }
+
+    #[test]
+    fn a_lone_kernel_session_round_trips_commands_and_data() {
+        let (hub, port) = hub_over(PairTransport::kernel(CostModel::free()), CostModel::free());
+        let a = attach(&hub);
+        a.post(write(0, 4), b"down").expect("post");
+        let frame = port.recv_cmd().expect("recv cmd");
+        assert_eq!((frame.session, frame.body), (a.session_id(), write(0, 4)));
+        assert_eq!(frame.record, Some(a.session_id() + 100), "first frame");
+        let mut buf = [0u8; 4];
+        port.recv_data_exact(&mut buf).expect("port recv");
+        assert_eq!(&buf, b"down");
+        port.send_reply(reply(a.session_id(), 4)).expect("reply");
+        port.send_data(b"up!!").expect("data up");
+        let mut out = [0u8; 8];
+        assert_eq!(a.call(op(7), &mut out), Ok(ToyReply { n: 4 }));
+        assert_eq!(&out[..4], b"up!!");
+        let frame = port.recv_cmd().expect("called cmd");
+        assert_eq!((frame.body, frame.record), (op(7), None));
+        assert_eq!(a.crossing(), CrossingKind::InterProcess);
     }
 }

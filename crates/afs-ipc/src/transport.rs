@@ -8,9 +8,10 @@
 //! choice, shaped like the operation: one [`post`](Transport::post) per
 //! write-behind write, one [`call`](Transport::call) per everything else.
 //! [`PairTransport::kernel`] and [`PairTransport::shared`] build the
-//! §4.2/§4.3 wirings; the session multiplexer, the batched ring and the
-//! inline §4.4 path implement the same trait. The bare pipe pair of §4.1
-//! ([`StreamTransport`]) carries no commands and is not a `Transport`.
+//! §4.2/§4.3 wirings, which a [`MuxHub`](crate::MuxHub) drives: its
+//! sessions, the batched ring and the inline §4.4 path implement the
+//! trait. The bare pipe pair of §4.1 ([`StreamTransport`]) carries no
+//! commands and is not a `Transport`.
 //!
 //! A transport dropped without its close still delivers the writes it
 //! acknowledged: whatever it staged goes to the sentinel on drop.
@@ -116,7 +117,9 @@ pub trait Transport<P: MuxProtocol>: Send + Sync {
 }
 
 /// Application side of a control-capable wiring (§4.2/§4.3): a command
-/// channel, a reply channel, and one data lane per direction.
+/// channel, a reply channel, and one data lane per direction. A
+/// [`MuxHub`](crate::MuxHub) owns it and frames every op its sessions
+/// send.
 pub struct PairTransport<C: Send + 'static, R: Send + 'static> {
     commands: ControlSender<C>,
     replies: ControlReceiver<R>,
@@ -275,43 +278,11 @@ impl<C: Send + 'static, R: Send + 'static> PairTransport<C, R> {
     }
 }
 
-impl<P: MuxProtocol> Transport<P> for PairTransport<P::Cmd, P::Reply> {
-    fn crossing(&self) -> CrossingKind {
-        self.crossing
-    }
-
-    fn post(&self, cmd: P::Cmd, payload: &[u8]) -> Result<()> {
-        self.send_cmd(cmd)?;
-        if !payload.is_empty() {
-            self.send_data(payload)?;
-        }
-        Ok(())
-    }
-
-    fn call(&self, cmd: P::Cmd, out: &mut [u8]) -> Result<P::Reply> {
-        self.send_cmd(cmd)?;
-        let reply = self.recv_reply()?;
-        self.recv_payload(P::reply_payload_len(&reply), out)?;
-        Ok(reply)
-    }
-}
-
 impl<C: Send + 'static, R: Send + 'static> PairPort<C, R> {
     /// Receives the next command, blocking; fails with
     /// [`IpcError::Closed`] once the application side is gone.
     pub fn recv_cmd(&self) -> Result<C> {
         self.commands.recv()
-    }
-
-    /// Receives the next command if one is already queued; never blocks.
-    /// The multiplexing dispatch loop uses this to drain a burst into its
-    /// per-session queues before picking whom to serve.
-    ///
-    /// # Errors
-    ///
-    /// [`IpcError::Closed`] once the application side is gone.
-    pub fn try_recv_cmd(&self) -> Result<Option<C>> {
-        self.commands.try_recv()
     }
 
     /// Non-blocking receive with `recv_cmd`-equivalent charging: the
@@ -426,72 +397,6 @@ impl StreamTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A toy protocol whose commands and replies are byte counts: a
-    /// command of `n` carries `n` payload bytes, a reply of `n` returns
-    /// `n`.
-    struct Counted;
-
-    impl MuxProtocol for Counted {
-        type Cmd = u32;
-        type Reply = u32;
-
-        fn cmd_payload_len(cmd: &u32) -> usize {
-            *cmd as usize
-        }
-
-        fn reply_payload_len(reply: &u32) -> usize {
-            *reply as usize
-        }
-
-        fn is_close(_: &u32) -> bool {
-            false
-        }
-
-        fn close_ack() -> u32 {
-            0
-        }
-
-        fn coalesce(_: &u32, _: &u32) -> Option<u32> {
-            None
-        }
-    }
-
-    #[test]
-    fn pair_call_drains_an_oversized_reply_and_stays_framed() {
-        let (app, port) = PairTransport::<u32, u32>::kernel(CostModel::free());
-        port.send_reply(6).expect("oversized reply");
-        port.send_data(b"excess").expect("excess bytes");
-        port.send_reply(2).expect("next reply");
-        port.send_data(b"ok").expect("next bytes");
-        let mut out = [0u8; 2];
-        // The reply is returned for the caller to reject; its bytes are
-        // gone from the lane, so the next call reads its own.
-        assert_eq!(Transport::<Counted>::call(&app, 0, &mut out), Ok(6));
-        assert_eq!(Transport::<Counted>::call(&app, 0, &mut out), Ok(2));
-        assert_eq!(&out, b"ok");
-    }
-
-    #[test]
-    fn kernel_pair_round_trips_commands_and_data() {
-        let (app, port) = PairTransport::<u32, u32>::kernel(CostModel::free());
-        Transport::<Counted>::post(&app, 4, b"down").expect("post");
-        assert_eq!(port.recv_cmd().expect("recv cmd"), 4);
-        let mut buf = [0u8; 4];
-        port.recv_data_exact(&mut buf).expect("port recv");
-        assert_eq!(&buf, b"down");
-        port.send_reply(4).expect("reply");
-        port.send_data(b"up!!").expect("data up");
-        let mut out = [0u8; 8];
-        let reply = Transport::<Counted>::call(&app, 7, &mut out).expect("call");
-        assert_eq!(reply, 4);
-        assert_eq!(&out[..4], b"up!!");
-        assert_eq!(port.recv_cmd().expect("called cmd"), 7);
-        assert_eq!(
-            Transport::<Counted>::crossing(&app),
-            CrossingKind::InterProcess
-        );
-    }
 
     #[test]
     fn shared_pair_round_trips_commands_and_data() {

@@ -357,6 +357,48 @@ fn slow_ops_across_mux_sessions_name_their_session_and_file() {
 }
 
 #[test]
+fn session_churn_on_a_shared_sentinel_reuses_session_notes() {
+    // One long-lived session keeps a shared sentinel up while 1,000
+    // others open, read and close. Session ids are reused, so the
+    // sentinel spans carry a bounded set of `session=` notes (each one
+    // interned for the life of the process) instead of one per open.
+    let (w, file) = world_with(Strategy::ProcessControl);
+    w.telemetry().set_enabled(true);
+    let api = w.api();
+    let keeper = api
+        .create_file(file, Access::read_only(), Disposition::OpenExisting)
+        .expect("long-lived open");
+    let mut notes = std::collections::BTreeSet::new();
+    let collect = |notes: &mut std::collections::BTreeSet<&'static str>| {
+        for span in w.telemetry().spans() {
+            if span.layer == Layer::Sentinel && span.note.starts_with("session=") {
+                notes.insert(span.note);
+            }
+        }
+        w.telemetry().clear_spans();
+    };
+    let mut buf = [0u8; 8];
+    for cycle in 0..1_000 {
+        let h = api
+            .create_file(file, Access::read_only(), Disposition::OpenExisting)
+            .expect("open");
+        api.read_file(h, &mut buf).expect("read");
+        api.close_handle(h).expect("close");
+        if cycle % 100 == 99 {
+            collect(&mut notes);
+        }
+    }
+    api.read_file(keeper, &mut buf).expect("keeper read");
+    api.close_handle(keeper).expect("keeper close");
+    collect(&mut notes);
+    assert!(
+        (1..=2).contains(&notes.len()),
+        "sentinel spans name at most two sessions, not {}",
+        notes.len()
+    );
+}
+
+#[test]
 fn per_sentinel_counters_agree_across_command_strategies() {
     // One script — a write, a read of it back, a failing control and the
     // close — feeds the same per-sentinel counters whether the sentinel
